@@ -15,7 +15,9 @@ Reaction Point (sender QP) state:
   (``rt ← rc``, ``rc ← rc·(1 − alpha/2)``) happens at most once per
   ``rate_reduce_monitor_period``; all increase stages reset on a cut.
 * Alpha decay timer (``dce_tcp_rtt``): each interval without a CNP,
-  ``alpha ← (1-g)·alpha``.
+  ``alpha ← (1-g)·alpha``.  Nothing reads alpha between CNPs, so the
+  timer is lazy: the RP keeps only the next tick time and replays the
+  ticks that are due whenever alpha is read (:func:`replay_alpha_decay`).
 * Rate increase is driven by a byte counter (``rpg_byte_reset``) and a
   timer (``rpg_time_reset``).  Each expiry bumps its stage counter and
   triggers an increase event: *fast recovery* while
@@ -31,8 +33,9 @@ tuner can swap one object per device and affect all three roles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, List, Optional
+import math
+from dataclasses import dataclass, fields, replace
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +88,8 @@ class DcqcnParams:
             raise ValueError("rpg_threshold must be >= 1")
         if not 0.0 < self.dce_tcp_g <= 1.0:
             raise ValueError("dce_tcp_g must be in (0, 1]")
+        if self.dce_tcp_rtt <= 0:
+            raise ValueError("dce_tcp_rtt must be positive")
         if not 0.0 < self.initial_alpha <= 1.0:
             raise ValueError("initial_alpha must be in (0, 1]")
         if not 0.0 < self.min_dec_fac <= 1.0:
@@ -112,6 +117,41 @@ class DcqcnParams:
         return cls(**values)
 
 
+def replay_alpha_decay(
+    alpha: float,
+    cnp_seen: bool,
+    next_tick: float,
+    now: float,
+    g: float,
+    period: float,
+) -> Tuple[float, float]:
+    """Replay the alpha-decay ticks due at or before ``now``.
+
+    Returns ``(alpha, next_tick)`` after running, in order, every tick
+    an eager ``dce_tcp_rtt`` timer would have dispatched by ``now``:
+    the first due tick only clears ``cnp_seen`` if a CNP arrived since
+    the last tick, every other one applies ``alpha ← (1−g)·alpha``, and
+    each advances ``next_tick`` by ``period``.  These are the eager
+    timer's float steps, so the result is bit-identical.  The caller
+    guarantees ``next_tick <= now`` and clears its CNP flag afterwards.
+
+    Including ticks due at exactly ``now`` matches the eager dispatch
+    order: such a tick was scheduled ``period`` (55 µs) ago, before any
+    CNP arriving now (scheduled one propagation delay ago, 2–5 µs) or
+    any read at an interval boundary.  Hosts check ``period`` against
+    that delay (:meth:`repro.simulator.host.Host._check_timer_lead`).
+    ``g`` and ``period`` must be the parameters in force at every
+    replayed tick; hosts replay before a controller swaps them.
+    """
+    decay = 1.0 - g
+    if cnp_seen:
+        next_tick += period
+    while next_tick <= now:
+        alpha = decay * alpha
+        next_tick += period
+    return alpha, next_tick
+
+
 class DcqcnRp:
     """Reaction Point state for one sender QP.
 
@@ -119,6 +159,10 @@ class DcqcnRp:
     callable returning the host's current :class:`DcqcnParams`) so that
     a controller dispatching new parameters affects live QPs
     immediately, as on real RNICs.
+
+    Alpha decays lazily (see :func:`replay_alpha_decay`): ``alpha`` is
+    a property that replays due ticks first, and :meth:`sync` must run
+    before the parameters behind ``params_ref`` change.
     """
 
     def __init__(
@@ -136,16 +180,16 @@ class DcqcnRp:
         params = params_ref()
         self.rc = line_rate_bps          # current rate
         self.rt = line_rate_bps          # target rate
-        self.alpha = params.initial_alpha
+        self._alpha = params.initial_alpha
+        self._alpha_next = math.inf      # next decay tick; inf = idle
+        self._cnp_seen = False           # CNP since the last decay tick
 
         self._byte_counter = 0
         self._byte_stage = 0
         self._time_stage = 0
         self._increase_iter = 0          # consecutive hyper-increase count
         self._last_cut_time = -float("inf")
-        self._cnp_seen_since_alpha_timer = False
 
-        self._alpha_timer: Optional[EventHandle] = None
         self._increase_timer: Optional[EventHandle] = None
         self._active = False
 
@@ -163,15 +207,14 @@ class DcqcnRp:
         if self._active:
             return
         self._active = True
-        self._arm_alpha_timer()
+        self._alpha_next = self.sim.now + self.params_ref().dce_tcp_rtt
         self._arm_increase_timer()
 
     def stop(self) -> None:
         """Cancel timers when the flow finishes."""
+        self.sync()
         self._active = False
-        if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
-            self._alpha_timer = None
+        self._alpha_next = math.inf
         if self._increase_timer is not None:
             self._increase_timer.cancel()
             self._increase_timer = None
@@ -179,6 +222,12 @@ class DcqcnRp:
     @property
     def active(self) -> bool:
         return self._active
+
+    @property
+    def alpha(self) -> float:
+        """Congestion estimate, with every decay tick due by now applied."""
+        self.sync()
+        return self._alpha
 
     # ------------------------------------------------------------------
     # CNP handling (rate decrease + alpha increase)
@@ -195,20 +244,23 @@ class DcqcnRp:
         """React to a congestion notification packet."""
         if not self._active:
             return
+        now = self.sim.now
+        if self._alpha_next <= now:
+            self._replay_alpha()
         params = self.params_ref()
         g = params.dce_tcp_g
-        self.alpha = (1.0 - g) * self.alpha + g
-        self._cnp_seen_since_alpha_timer = True
+        self._alpha = (1.0 - g) * self._alpha + g
+        self._cnp_seen = True
         self.cnps_received += 1
 
-        now = self.sim.now
         if now - self._last_cut_time >= params.rate_reduce_monitor_period:
             self._cut_rate(params)
             self._last_cut_time = now
 
     def _cut_rate(self, params: DcqcnParams) -> None:
+        # Only called from on_cnp, which has just replayed due ticks.
         self.rt = self.rc
-        factor = max(1.0 - self.alpha / 2.0, 1.0 - params.min_dec_fac)
+        factor = max(1.0 - self._alpha / 2.0, 1.0 - params.min_dec_fac)
         self.rc = max(self.rc * factor, params.rpg_min_rate)
         self.rate_cuts += 1
         # A cut resets the whole increase state machine.
@@ -221,23 +273,30 @@ class DcqcnRp:
             self.on_rate_change()
 
     # ------------------------------------------------------------------
-    # Alpha decay timer
+    # Alpha decay (lazy timer)
     # ------------------------------------------------------------------
 
-    def _arm_alpha_timer(self) -> None:
-        if self._alpha_timer is not None:
-            self._alpha_timer.cancel()
-        params = self.params_ref()
-        self._alpha_timer = self.sim.schedule(params.dce_tcp_rtt, self._alpha_tick)
+    def sync(self) -> None:
+        """Apply the decay ticks due by now under the current parameters.
 
-    def _alpha_tick(self) -> None:
-        if not self._active:
-            return
-        if not self._cnp_seen_since_alpha_timer:
-            g = self.params_ref().dce_tcp_g
-            self.alpha = (1.0 - g) * self.alpha
-        self._cnp_seen_since_alpha_timer = False
-        self._arm_alpha_timer()
+        Hosts call this before swapping the parameter object, so every
+        tick uses the ``dce_tcp_g``/``dce_tcp_rtt`` in force when it was
+        due.
+        """
+        if self._alpha_next <= self.sim.now:
+            self._replay_alpha()
+
+    def _replay_alpha(self) -> None:
+        params = self.params_ref()
+        self._alpha, self._alpha_next = replay_alpha_decay(
+            self._alpha,
+            self._cnp_seen,
+            self._alpha_next,
+            self.sim.now,
+            params.dce_tcp_g,
+            params.dce_tcp_rtt,
+        )
+        self._cnp_seen = False
 
     # ------------------------------------------------------------------
     # Rate increase: byte counter and timer stages
@@ -267,7 +326,10 @@ class DcqcnRp:
             return
         self._time_stage += 1
         self._increase_event(self.params_ref())
-        self._arm_increase_timer()
+        # Re-arm without cancelling: this handle has just been dispatched.
+        self._increase_timer = self.sim.schedule(
+            self.params_ref().rpg_time_reset, self._increase_tick
+        )
 
     def _increase_event(self, params: DcqcnParams) -> None:
         """One fast-recovery / additive / hyper increase step."""
@@ -288,24 +350,32 @@ class DcqcnRp:
 
 
 class DcqcnLaneBank:
-    """Vectorized RP timer plane: all QPs' timers in numpy lanes.
+    """Vectorized RP timer plane: all QPs' state in numpy lanes.
 
-    The scalar :class:`DcqcnRp` schedules two engine events per QP per
-    timer period (alpha decay at ``dce_tcp_rtt``, rate increase at
-    ``rpg_time_reset``) plus one cancel-and-rearm per rate cut — the
-    dominant event population on a busy host.  The bank keeps the same
-    state in float64/int64 arrays, one lane per QP, and schedules a
-    *single* engine event at the minimum pending deadline; every lane
-    whose deadline equals that exact float advances in one array step.
+    The scalar :class:`DcqcnRp` schedules one engine event per QP per
+    rate-increase period (``rpg_time_reset``) plus one cancel-and-rearm
+    per rate cut.  The bank keeps the same state in float64/int64
+    arrays, one lane per QP, and runs *both* timers lazily: a lane's
+    ``alpha_deadline``/``incr_deadline`` hold its next due ticks, and
+    every read of the lane (a CNP, a sent packet, ``rc``/``rt``/
+    ``alpha``, a parameter swap, ``qp_sample``) first replays the ticks
+    due by now, inclusive (see :func:`replay_alpha_decay` for the tie
+    argument; a rate-increase tick was armed one ``rpg_time_reset``
+    ahead, which hosts check against their event leads).  One coalesced
+    engine event, at most every
+    ``sweep_interval``, advances all due lanes in one array step so
+    replay loops stay short.  No callback observes a tick, so when it
+    is applied does not matter, only that it is applied before a read.
 
     Bit-identity contract (the ``lanes`` gating mode): every arithmetic
     operation below is the same IEEE-double expression the scalar class
-    evaluates, element-wise, and coalesced same-time ticks only touch
-    per-lane state, so lane-mode runs produce byte-identical digests.
-    Parameters are read through each lane's ``params_ref`` at tick time,
-    exactly like the scalar timers, so controller dispatches take effect
-    immediately.
+    evaluates, element-wise, and a replay runs a lane's ticks in order
+    with the parameters in force when they were due (hosts replay before
+    a parameter swap), so lane-mode runs produce byte-identical digests.
     """
+
+    #: Minimum spacing of the bank's coalesced sweep events (s).
+    sweep_interval = 1e-3
 
     def __init__(self, sim: Simulator, capacity: int = 16):
         self.sim = sim
@@ -322,18 +392,17 @@ class DcqcnLaneBank:
         self.last_cut = np.full(n, -np.inf)
         self.cnp_seen = np.zeros(n, dtype=bool)
         self.active = np.zeros(n, dtype=bool)
-        # inf = timer disarmed; the engine event sits at the global min.
+        # Next due tick of each lazy timer; inf = disarmed.
         self.alpha_deadline = np.full(n, np.inf)
         self.incr_deadline = np.full(n, np.inf)
         self.cnps_received = np.zeros(n, dtype=np.int64)
         self.rate_cuts = np.zeros(n, dtype=np.int64)
         self.increase_events = np.zeros(n, dtype=np.int64)
         self.params_ref: List[Optional[Callable[[], DcqcnParams]]] = [None] * n
-        self.on_rate_change: List[Optional[Callable[[], None]]] = [None] * n
         self._free: List[int] = list(range(n - 1, -1, -1))
         self._n = 0                      # high-water mark of lanes in use
         self._event: Optional[EventHandle] = None
-        # Diagnostics: coalesced ticks vs lanes advanced.
+        # Diagnostics: sweep events vs lane ticks they advanced.
         self.ticks = 0
         self.lanes_fired = 0
 
@@ -356,7 +425,6 @@ class DcqcnLaneBank:
             grown[:old] = arr
             setattr(self, name, grown)
         self.params_ref.extend([None] * old)
-        self.on_rate_change.extend([None] * old)
         self._free.extend(range(new - 1, old - 1, -1))
         self._cap = new
 
@@ -364,7 +432,6 @@ class DcqcnLaneBank:
         self,
         line_rate_bps: float,
         params_ref: Callable[[], DcqcnParams],
-        on_rate_change: Optional[Callable[[], None]] = None,
     ) -> "LanedDcqcnRp":
         """Allocate a lane initialized exactly like ``DcqcnRp.__init__``."""
         if not self._free:
@@ -389,7 +456,6 @@ class DcqcnLaneBank:
         self.rate_cuts[i] = 0
         self.increase_events[i] = 0
         self.params_ref[i] = params_ref
-        self.on_rate_change[i] = on_rate_change
         return LanedDcqcnRp(self, i)
 
     def start(self, i: int) -> None:
@@ -400,32 +466,35 @@ class DcqcnLaneBank:
         now = self.sim.now
         self.alpha_deadline[i] = now + params.dce_tcp_rtt
         self.incr_deadline[i] = now + params.rpg_time_reset
-        self._refresh_event()
+        if self._event is None:
+            self._arm_sweep(now)
 
     def stop(self, i: int) -> None:
+        self.sync(i)
         self.active[i] = False
         self.alpha_deadline[i] = np.inf
         self.incr_deadline[i] = np.inf
         self._free.append(i)
         self.params_ref[i] = None
-        self.on_rate_change[i] = None
 
     # -- per-packet paths (scalar, one lane) ----------------------------
 
     def on_cnp(self, i: int) -> None:
         if not self.active[i]:
             return
+        self.sync(i)
+        now = self.sim.now
         params = self.params_ref[i]()
         g = params.dce_tcp_g
         self.alpha[i] = (1.0 - g) * self.alpha[i] + g
         self.cnp_seen[i] = True
         self.cnps_received[i] += 1
-        now = self.sim.now
         if now - self.last_cut[i] >= params.rate_reduce_monitor_period:
             self._cut_rate(i, params, now)
             self.last_cut[i] = now
 
     def _cut_rate(self, i: int, params: DcqcnParams, now: float) -> None:
+        # Only called from on_cnp, which has just replayed due ticks.
         rc = self.rc[i]
         self.rt[i] = rc
         factor = max(1.0 - self.alpha[i] / 2.0, 1.0 - params.min_dec_fac)
@@ -436,14 +505,13 @@ class DcqcnLaneBank:
         self.time_stage[i] = 0
         self.incr_iter[i] = 0
         self.incr_deadline[i] = now + params.rpg_time_reset
-        self._refresh_event()
-        callback = self.on_rate_change[i]
-        if callback is not None:
-            callback()
 
     def on_packet_sent(self, i: int, wire_bytes: int) -> None:
         if not self.active[i]:
             return
+        now = self.sim.now
+        if self.incr_deadline[i] <= now:
+            self._replay_incr(i, now)
         counter = int(self.byte_counter[i]) + wire_bytes
         params = self.params_ref[i]()
         reset = params.rpg_byte_reset
@@ -472,49 +540,62 @@ class DcqcnLaneBank:
         rc = max(rc, params.rpg_min_rate)
         self.rt[i] = rt
         self.rc[i] = rc
-        callback = self.on_rate_change[i]
-        if callback is not None:
-            callback()
 
-    # -- coalesced timer plane ------------------------------------------
+    # -- lazy timers ------------------------------------------------------
 
-    def _refresh_event(self) -> None:
-        """Keep one engine event pending at the minimum deadline."""
+    def sync(self, i: int) -> None:
+        """Apply lane ``i``'s alpha and increase ticks due by now."""
+        now = self.sim.now
+        if self.alpha_deadline[i] <= now:
+            self._replay_alpha(i, now)
+        if self.incr_deadline[i] <= now:
+            self._replay_incr(i, now)
+
+    def _replay_alpha(self, i: int, now: float) -> None:
+        params = self.params_ref[i]()
+        alpha, next_tick = replay_alpha_decay(
+            float(self.alpha[i]),
+            bool(self.cnp_seen[i]),
+            float(self.alpha_deadline[i]),
+            now,
+            params.dce_tcp_g,
+            params.dce_tcp_rtt,
+        )
+        self.alpha[i] = alpha
+        self.alpha_deadline[i] = next_tick
+        self.cnp_seen[i] = False
+
+    def _replay_incr(self, i: int, now: float) -> None:
+        """Run lane ``i``'s due increase ticks, as ``DcqcnRp._increase_tick``."""
+        params = self.params_ref[i]()
+        period = params.rpg_time_reset
+        deadline = float(self.incr_deadline[i])
+        while deadline <= now:
+            self.time_stage[i] += 1
+            self._increase_event_scalar(i, params)
+            deadline += period
+        self.incr_deadline[i] = deadline
+
+    # -- coalesced sweep ---------------------------------------------------
+
+    def _arm_sweep(self, now: float) -> None:
+        """Schedule the next sweep, if any lane has an increase tick due."""
         n = self._n
-        if n == 0:
-            next_t = np.inf
-        else:
-            next_t = min(
-                self.alpha_deadline[:n].min(), self.incr_deadline[:n].min()
-            )
-        event = self._event
-        if next_t == np.inf:
-            if event is not None:
-                event.cancel()
-                self._event = None
-            return
-        if event is not None:
-            if event.time <= next_t:
-                return  # fires at/before the min; spurious wakes re-arm
-            event.cancel()
-        self._event = self.sim.at(float(next_t), self._tick)
+        next_t = self.incr_deadline[:n].min() if n else np.inf
+        if next_t != np.inf:
+            when = max(float(next_t), now + self.sweep_interval)
+            self._event = self.sim.at(when, self._tick)
 
     def _tick(self) -> None:
         self._event = None
         now = self.sim.now
-        n = self._n
         self.ticks += 1
-        alpha_fired = np.flatnonzero(self.alpha_deadline[:n] == now)
-        incr_fired = np.flatnonzero(self.incr_deadline[:n] == now)
-        # Alpha before increase: the two planes touch disjoint state
-        # (alpha/cnp flag vs rc/rt/stages), so same-time order between
-        # them — and among coalesced lanes — cannot change the outcome.
-        if alpha_fired.size:
-            self._alpha_fire(alpha_fired, now)
-        if incr_fired.size:
-            self._incr_fire(incr_fired, now)
-        self.lanes_fired += int(alpha_fired.size + incr_fired.size)
-        self._refresh_event()
+        due = np.flatnonzero(self.incr_deadline[: self._n] <= now)
+        while due.size:
+            self.lanes_fired += int(due.size)
+            self._incr_fire(due)
+            due = due[self.incr_deadline[due] <= now]
+        self._arm_sweep(now)
 
     def _gather(self, idx: np.ndarray, names: tuple) -> List[np.ndarray]:
         """Live per-lane parameter columns for the fired lanes."""
@@ -526,27 +607,8 @@ class DcqcnLaneBank:
                 cols[c][k] = getattr(params, name)
         return cols
 
-    def _alpha_fire(self, idx: np.ndarray, now: float) -> None:
-        if idx.size == 1:
-            # Scalar fast path: staggered start times make one-lane
-            # ticks the common case, where array temporaries cost more
-            # than the work.  Same IEEE-double expressions as below.
-            i = int(idx[0])
-            params = self.params_ref[i]()
-            if not self.cnp_seen[i]:
-                self.alpha[i] = (1.0 - params.dce_tcp_g) * self.alpha[i]
-            self.cnp_seen[i] = False
-            self.alpha_deadline[i] = now + params.dce_tcp_rtt
-            return
-        g, period = self._gather(idx, ("dce_tcp_g", "dce_tcp_rtt"))
-        alpha = self.alpha[idx]
-        quiet = ~self.cnp_seen[idx]
-        # Same expression as the scalar `_alpha_tick`, element-wise.
-        self.alpha[idx] = np.where(quiet, (1.0 - g) * alpha, alpha)
-        self.cnp_seen[idx] = False
-        self.alpha_deadline[idx] = now + period
-
-    def _incr_fire(self, idx: np.ndarray, now: float) -> None:
+    def _incr_fire(self, idx: np.ndarray) -> None:
+        """One increase tick on each lane in ``idx`` (all due)."""
         if idx.size == 1:
             # Scalar fast path; mirrors `_increase_event_scalar` plus
             # the timer re-arm, exactly like `DcqcnRp._increase_tick`.
@@ -554,7 +616,7 @@ class DcqcnLaneBank:
             params = self.params_ref[i]()
             self.time_stage[i] += 1
             self._increase_event_scalar(i, params)
-            self.incr_deadline[i] = now + params.rpg_time_reset
+            self.incr_deadline[i] = self.incr_deadline[i] + params.rpg_time_reset
             return
         ai, hai, threshold, period, line_min = self._gather(
             idx,
@@ -584,12 +646,7 @@ class DcqcnLaneBank:
         self.incr_iter[idx] = incr_iter
         self.rt[idx] = rt
         self.rc[idx] = rc
-        self.incr_deadline[idx] = now + period
-        callbacks = self.on_rate_change
-        for i in idx:
-            callback = callbacks[i]
-            if callback is not None:
-                callback()
+        self.incr_deadline[idx] = self.incr_deadline[idx] + period
 
     def qp_sample(self) -> dict:
         """Aggregate rate/alpha/CNP state over active lanes (read-only).
@@ -598,6 +655,10 @@ class DcqcnLaneBank:
         vectorized alternative to walking every host's QP table.
         """
         n = self._n
+        now = self.sim.now
+        due = (self.alpha_deadline[:n] <= now) | (self.incr_deadline[:n] <= now)
+        for i in np.flatnonzero(due):
+            self.sync(int(i))
         mask = self.active[:n]
         count = int(np.count_nonzero(mask))
         if count == 0:
@@ -625,7 +686,6 @@ class DcqcnLaneBank:
         self.alpha_deadline[:] = np.inf
         self.incr_deadline[:] = np.inf
         self.params_ref = [None] * self._cap
-        self.on_rate_change = [None] * self._cap
         self._free = list(range(self._cap - 1, -1, -1))
         self._n = 0
         self.ticks = 0
@@ -638,7 +698,7 @@ class LanedDcqcnRp:
     Hosts hand these to :class:`~repro.simulator.host.SenderQp` in
     ``lanes``/``hybrid`` engine modes; the per-packet interface is
     identical to the scalar class, only timer bookkeeping moves into
-    the bank's coalesced event.
+    the bank, which replays a lane's due ticks whenever it is read.
     """
 
     __slots__ = ("bank", "lane")
@@ -651,14 +711,17 @@ class LanedDcqcnRp:
 
     @property
     def rc(self) -> float:
+        self.bank.sync(self.lane)
         return float(self.bank.rc[self.lane])
 
     @property
     def rt(self) -> float:
+        self.bank.sync(self.lane)
         return float(self.bank.rt[self.lane])
 
     @property
     def alpha(self) -> float:
+        self.bank.sync(self.lane)
         return float(self.bank.alpha[self.lane])
 
     @property
@@ -677,6 +740,7 @@ class LanedDcqcnRp:
 
     @property
     def increase_events(self) -> int:
+        self.bank.sync(self.lane)
         return int(self.bank.increase_events[self.lane])
 
     # -- lifecycle / events ---------------------------------------------
@@ -693,6 +757,9 @@ class LanedDcqcnRp:
 
     def on_cnp(self) -> None:
         self.bank.on_cnp(self.lane)
+
+    def sync(self) -> None:
+        self.bank.sync(self.lane)
 
     def on_packet_sent(self, wire_bytes: int) -> None:
         self.bank.on_packet_sent(self.lane, wire_bytes)

@@ -14,18 +14,26 @@ Performance notes
 
 The heap stores ``(time, seq, handle)`` tuples rather than bare
 handles: every sift inside :func:`heapq.heappush`/``heappop`` then
-compares C-level tuples instead of calling ``EventHandle.__lt__``,
-which is the single hottest comparison in the simulator.
+compares C-level tuples, and the ordering key ``(time, seq)`` is
+unique per event, so the comparison never reaches the handle.
+Handles are built with ``object.__new__`` plus four slot stores, with
+no Python ``__init__`` frame.  (Making the heap entry itself a ``list``
+subclass was measured 10% slower per event on CPython 3.11: indexing
+and unpacking a list *subclass* skips the interpreter's specialized
+list paths, which the dispatch loop hits on every event.)
 
-Cancellation stays lazy (O(1)), but the engine now tracks how many
-cancelled entries are parked in the heap and compacts — an in-place
+Cancellation stays lazy (O(1)): a cancelled handle keeps its heap slot
+with ``fn`` cleared and is skipped at dispatch time.  The engine counts
+the cancelled entries parked in the heap and compacts — an in-place
 filter plus :func:`heapq.heapify` — once they are the majority.  This
 bounds memory under workloads that cancel and re-arm timers at a high
-rate (the host egress wake timer does exactly that), where previously
-cancelled handles could linger until their scheduled time arrived.
-Compaction preserves dispatch order exactly: the ordering key
-``(time, seq)`` is unique per event, so heapify rebuilds the same
-total order the lazy heap would have produced.
+rate (the host egress wake timer does exactly that).  Compaction
+preserves dispatch order exactly: ``(time, seq)`` is a total order, so
+heapify rebuilds the order the lazy heap would have produced.
+
+Dispatch clears a handle's ``sim`` slot, so cancelling an event that
+has already run is a no-op and the cancelled count only ever counts
+entries really in the heap.
 """
 
 from __future__ import annotations
@@ -43,51 +51,38 @@ _COMPACT_MIN_CANCELLED = 64
 class EventHandle:
     """Handle to a scheduled event, usable for cancellation.
 
-    Cancellation is lazy: the entry stays in the heap but is skipped at
-    dispatch time.  This keeps cancellation O(1); the owning simulator
-    counts cancellations and compacts the heap when they dominate.
+    Cancellation is lazy: the entry stays in the heap with ``fn``
+    cleared and is skipped at dispatch time.  This keeps cancellation
+    O(1); the owning simulator counts cancellations and compacts the
+    heap when they dominate.  ``sim`` is cleared on dispatch and on
+    cancel, which makes a second cancel, or a cancel after the event
+    ran, a no-op.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
+    __slots__ = ("time", "fn", "args", "sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
+    @property
+    def cancelled(self) -> bool:
+        return self.fn is None
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it at dispatch time."""
-        if self.cancelled:
-            return
-        self.cancelled = True
+        sim = self.sim
+        if sim is None:
+            return  # already cancelled, or already dispatched
         # Drop references eagerly; a cancelled event can linger in the
         # heap for a while and we do not want it pinning packet objects.
-        self.fn = _noop
+        self.fn = None
         self.args = ()
-        sim = self.sim
-        if sim is not None:
-            sim._cancelled += 1
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self.sim = None
+        sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.9f}, seq={self.seq}, {state})"
+        return f"EventHandle(t={self.time:.9f}, {state})"
 
 
-def _noop(*_args: Any) -> None:
-    return None
+_new_handle = object.__new__
 
 
 class SimulationError(RuntimeError):
@@ -159,11 +154,16 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        time = self._now + delay
-        handle = EventHandle(time, self._next_seq(), fn, args, self)
-        _heappush(self._heap, (time, handle.seq, handle))
-        if self._cancelled > _COMPACT_MIN_CANCELLED:
-            self._maybe_compact()
+        handle = _new_handle(EventHandle)
+        handle.time = time = self._now + delay
+        handle.fn = fn
+        handle.args = args
+        handle.sim = self
+        heap = self._heap
+        _heappush(heap, (time, self._next_seq(), handle))
+        cancelled = self._cancelled
+        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
+            self._compact()
         return handle
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -172,10 +172,16 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before now={self._now!r}"
             )
-        handle = EventHandle(time, self._next_seq(), fn, args, self)
-        _heappush(self._heap, (time, handle.seq, handle))
-        if self._cancelled > _COMPACT_MIN_CANCELLED:
-            self._maybe_compact()
+        handle = _new_handle(EventHandle)
+        handle.time = time
+        handle.fn = fn
+        handle.args = args
+        handle.sim = self
+        heap = self._heap
+        _heappush(heap, (time, self._next_seq(), handle))
+        cancelled = self._cancelled
+        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
+            self._compact()
         return handle
 
     def peek_time(self) -> Optional[float]:
@@ -190,8 +196,9 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        _time, _seq, ev = _heappop(self._heap)
-        self._now = _time
+        time, _seq, ev = _heappop(self._heap)
+        ev.sim = None  # dispatched: a later cancel() is a no-op
+        self._now = time
         self._events_dispatched += 1
         ev.fn(*ev.args)
         return True
@@ -211,26 +218,30 @@ class Simulator:
         dispatched = 0
         # Hot loop: bind everything to locals.  ``self._heap`` is only
         # ever mutated in place (push/pop/compact), so the local alias
-        # stays valid across callbacks that schedule or cancel.
+        # stays valid across callbacks that schedule or cancel.  The
+        # first entry past ``end_time`` is popped and pushed back once
+        # per call instead of peeking at the head on every event; its
+        # key is unique, so the dispatch order is unchanged.
         heap = self._heap
         pop = _heappop
+        limit = -1 if max_events is None else max(max_events, 1)
         self._running = True
         try:
             while heap:
-                head = heap[0]
-                time = head[0]
+                entry = pop(heap)
+                time, _seq, ev = entry
                 if time > end_time:
+                    _heappush(heap, entry)
                     break
-                ev = head[2]
-                if ev.cancelled:
-                    pop(heap)
+                fn = ev.fn
+                if fn is None:
                     self._cancelled -= 1
                     continue
-                pop(heap)
+                ev.sim = None  # dispatched: a later cancel() is a no-op
                 self._now = time
                 dispatched += 1
-                ev.fn(*ev.args)
-                if max_events is not None and dispatched >= max_events:
+                fn(*ev.args)
+                if dispatched == limit:
                     break
         finally:
             self._running = False
@@ -242,31 +253,34 @@ class Simulator:
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event heap drains (or ``max_events``).
 
-        Shares the hot-loop structure of :meth:`run_until` so cancelled
-        entries are skipped with the same ``_cancelled`` bookkeeping and
-        the heap is compacted on the same threshold — previously this
-        path popped cancelled entries one at a time via :meth:`step`
-        and never compacted, so a cancel-heavy drain could hold the
-        whole dead backlog in memory until it was reached.
+        Shares the hot-loop structure of :meth:`run_until`: cancelled
+        entries are skipped with the same ``_cancelled`` bookkeeping,
+        and a cancel-dominated heap is compacted on the way instead of
+        being popped one dead entry at a time.
         """
         dispatched = 0
         heap = self._heap
         pop = _heappop
+        limit = -1 if max_events is None else max(max_events, 1)
         self._running = True
         try:
             while heap:
-                ev = heap[0][2]
-                if ev.cancelled:
-                    pop(heap)
+                time, _seq, ev = pop(heap)
+                fn = ev.fn
+                if fn is None:
                     self._cancelled -= 1
-                    if self._cancelled > _COMPACT_MIN_CANCELLED:
-                        self._maybe_compact()
+                    cancelled = self._cancelled
+                    if (
+                        cancelled > _COMPACT_MIN_CANCELLED
+                        and cancelled * 2 >= len(heap)
+                    ):
+                        self._compact()
                     continue
-                pop(heap)
-                self._now = ev.time
+                ev.sim = None  # dispatched: a later cancel() is a no-op
+                self._now = time
                 dispatched += 1
-                ev.fn(*ev.args)
-                if max_events is not None and dispatched >= max_events:
+                fn(*ev.args)
+                if dispatched == limit:
                     break
         finally:
             self._running = False
@@ -286,6 +300,8 @@ class Simulator:
         if self._running:
             raise SimulationError("cannot reset a running simulator")
         self._now = 0.0
+        for _time, _seq, handle in self._heap:
+            handle.sim = None  # a later cancel() of a dropped event is a no-op
         self._heap.clear()
         self._seq = itertools.count()
         self._next_seq = self._seq.__next__
@@ -295,17 +311,15 @@ class Simulator:
 
     def _drop_cancelled_head(self) -> None:
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2].fn is None:
             _heappop(heap)
             self._cancelled -= 1
 
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap in place once cancelled entries dominate."""
+    def _compact(self) -> None:
+        """Rebuild the heap in place without its cancelled entries."""
         heap = self._heap
-        if self._cancelled * 2 < len(heap):
-            return
         # In-place so aliases held by a running ``run_until`` stay live.
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2].fn is not None]
         heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1

@@ -21,14 +21,28 @@ Roles implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Optional
 
 from repro.simulator.dcqcn import DcqcnParams, DcqcnRp
 from repro.simulator.engine import EventHandle, Simulator
 from repro.simulator.flow import Flow
 from repro.simulator.link import Link, PauseState
-from repro.simulator.packet import Packet, PacketKind, data_packet, cnp_packet
-from repro.simulator.units import DEFAULT_MTU
+from repro.simulator.packet import (
+    DATA,
+    Packet,
+    PacketKind,
+    cnp_packet,
+    data_packet,
+)
+from repro.simulator.units import DEFAULT_MTU, HEADER_BYTES
+
+_INF = float("inf")
+_CNP = PacketKind.CNP
+_PROBE = PacketKind.PROBE
+_PROBE_ACK = PacketKind.PROBE_ACK
+_ACK = PacketKind.ACK
+_next_allowed = attrgetter("next_allowed")
 
 
 @dataclass
@@ -54,15 +68,23 @@ class SenderQp:
 
 
 class HostEgress:
-    """Pull-based serializer for the host uplink."""
+    """Pull-based serializer for the host uplink.
+
+    Serialization and delivery are inline: one engine event when the
+    packet's last bit leaves the NIC (``_finish``), which schedules its
+    arrival at the far end of the link.
+    """
 
     def __init__(self, sim: Simulator, link: Link, mtu: int):
         self.sim = sim
         self.link = link
         self.mtu = mtu
-        # Bound-method caches for the per-packet serialization loop.
+        # Per-packet caches: the scheduler and the link's constants.
         self._schedule = sim.schedule
-        self._deliver = link.deliver
+        self._bits_per_rate = link.bits_per_rate
+        self._prop_delay = link.prop_delay
+        self._dst_receive = link.dst.receive
+        self._dst_port = link.dst_port
         self.pause = PauseState(sim)
         self.control: list[Packet] = []
         self.qps: Dict[int, SenderQp] = {}
@@ -90,28 +112,46 @@ class HostEgress:
     # -- scheduling ----------------------------------------------------
 
     def kick(self) -> None:
-        """Try to start a transmission if the serializer is idle."""
+        """Start the next transmission if the serializer is idle.
+
+        Control packets go first; otherwise the QP with the earliest
+        pacing time sends one MTU if that time has come, or a wake is
+        armed for it.
+        """
         if self.busy:
             return
+        now = self.sim.now
         if self.control:
             packet = self.control.pop(0)
-            self._transmit(packet, None)
-            return
-        if self.pause.paused or not self.qps:
-            return
-        now = self.sim.now
-        best: Optional[SenderQp] = None
-        earliest = float("inf")
-        for qp in self.qps.values():
-            if qp.next_allowed < earliest:
-                earliest = qp.next_allowed
-                best = qp
-        if best is None:
-            return
-        if earliest > now:
-            self._schedule_wake(earliest)
-            return
-        self._transmit(self._build_data(best), best)
+            qp = None
+        else:
+            qps = self.qps
+            if self.pause.paused or not qps:
+                return
+            # First QP with the smallest pacing time, in insertion order.
+            qp = min(qps.values(), key=_next_allowed)
+            earliest = qp.next_allowed
+            if earliest > now:
+                if earliest != _INF:
+                    self._schedule_wake(earliest)
+                return
+            flow = qp.flow
+            remaining = flow.remaining_to_send
+            payload = min(self.mtu, remaining)
+            packet = data_packet(
+                flow.flow_id,
+                flow.src,
+                flow.dst,
+                payload=payload,
+                seq=flow.bytes_sent,
+                last=(payload == remaining),
+            )
+            packet.sent_at = now  # echoed by Swift-style ACKs
+            flow.bytes_sent += payload
+        self.busy = True
+        self._schedule(
+            packet.wire_size * self._bits_per_rate, self._finish, packet, qp, now
+        )
 
     def _schedule_wake(self, at_time: float) -> None:
         if self._wake is not None:
@@ -123,27 +163,6 @@ class HostEgress:
     def _wake_fired(self) -> None:
         self._wake = None
         self.kick()
-
-    def _build_data(self, qp: SenderQp) -> Packet:
-        flow = qp.flow
-        payload = min(self.mtu, flow.remaining_to_send)
-        packet = data_packet(
-            flow.flow_id,
-            flow.src,
-            flow.dst,
-            payload=payload,
-            seq=flow.bytes_sent,
-            last=(payload == flow.remaining_to_send),
-        )
-        packet.sent_at = self.sim.now  # echoed by Swift-style ACKs
-        flow.bytes_sent += payload
-        return packet
-
-    def _transmit(self, packet: Packet, qp: Optional[SenderQp]) -> None:
-        self.busy = True
-        start = self.sim.now
-        delay = self.link.serialization_delay(packet)
-        self._schedule(delay, self._finish, packet, qp, start)
 
     def reset(self) -> None:
         """Drop all QPs, queued control traffic and pacing state."""
@@ -162,15 +181,21 @@ class HostEgress:
         self.link.reset()
 
     def _finish(self, packet: Packet, qp: Optional[SenderQp], start: float) -> None:
-        self._deliver(packet)
+        wire = packet.wire_size
+        link = self.link
+        link.tx_bytes += wire
+        link.tx_packets += 1
+        self._schedule(self._prop_delay, self._dst_receive, packet, self._dst_port)
         if qp is not None:
-            self.data_tx_bytes += packet.wire_size
-            qp.rp.on_packet_sent(packet.wire_size)
+            self.data_tx_bytes += wire
+            rp = qp.rp
+            rp.on_packet_sent(wire)
             # Pace from the start of this transmission at the current rate.
-            qp.next_allowed = start + packet.wire_size * 8.0 / qp.rp.rc
-            if qp.flow.remaining_to_send == 0:
-                qp.rp.stop()
-                self.qps.pop(qp.flow.flow_id, None)
+            qp.next_allowed = start + wire * 8.0 / rp.rc
+            flow = qp.flow
+            if flow.remaining_to_send == 0:
+                rp.stop()
+                self.qps.pop(flow.flow_id, None)
                 if self._on_sender_done is not None:
                     self._on_sender_done(qp)
         self.busy = False
@@ -195,7 +220,6 @@ class Host:
         self.sim = sim
         self.host_id = host_id
         self.name = name
-        self.params = params
         self.config = config or HostConfig()
         self.config.validate()
         self.cc_mode = cc_mode
@@ -203,12 +227,16 @@ class Host:
 
         self.egress: Optional[HostEgress] = None
         self.line_rate = 0.0
+        # Propagation delay of the link delivering into this host (set
+        # when the fabric is wired); bounds the DCQCN timer periods.
+        self.ingress_delay = 0.0
 
         # Vectorized RP lane bank (hybrid-engine `lanes`/`hybrid`
-        # modes).  Installed by the Network; when set, DCQCN QPs draw
-        # their reaction point from the bank instead of allocating a
-        # scalar DcqcnRp with its own timer events.
+        # modes).  Installed by the Network (:meth:`use_lane_bank`);
+        # when set, DCQCN QPs draw their reaction point from the bank
+        # instead of allocating a scalar DcqcnRp.
         self.lane_bank = None
+        self.params = params
 
         # Notification Point state: flow id -> last CNP emission time.
         self._np_last_cnp: Dict[int, float] = {}
@@ -224,6 +252,62 @@ class Host:
         self.probes_sent = 0
 
     # ------------------------------------------------------------------
+    # Parameters
+    # ------------------------------------------------------------------
+
+    @property
+    def params(self) -> DcqcnParams:
+        """The DCQCN parameters every role on this host reads."""
+        return self._params
+
+    @params.setter
+    def params(self, params: DcqcnParams) -> None:
+        """Install ``params``, first settling the lazy DCQCN timers.
+
+        Each QP replays the timer ticks due by now under the outgoing
+        parameters, so every tick uses the parameters (``dce_tcp_g``,
+        ``dce_tcp_rtt``, the increase knobs) in force when it was due.
+        """
+        self._check_timer_lead(params)
+        if self.egress is not None and self.cc_mode == "dcqcn":
+            for qp in self.egress.qps.values():
+                qp.rp.sync()
+        self._params = params
+
+    def _check_timer_lead(self, params: DcqcnParams) -> None:
+        """Lazy DCQCN timers need periods longer than any event lead.
+
+        A timer tick due at ``t`` was armed one period before ``t``.  The
+        events that read RP state at ``t`` were scheduled later: a CNP
+        one ingress propagation delay before, and, for the lane bank's
+        lazy increase timer, a finished transmission one serialization
+        delay before.  Only then does the tick precede them, which is
+        the order the lazy replay assumes.
+        """
+        if self.cc_mode != "dcqcn":
+            return
+        checks = [("dce_tcp_rtt", self.ingress_delay)]
+        if self.lane_bank is not None:
+            lead = self.ingress_delay
+            if self.line_rate > 0:
+                mtu_bits = (self.config.mtu + HEADER_BYTES) * 8.0
+                lead = max(lead, mtu_bits / self.line_rate)
+            checks.append(("rpg_time_reset", lead))
+        for name, lead in checks:
+            period = getattr(params, name)
+            if not period > lead:
+                raise ValueError(
+                    f"{self.name}: {name} ({period!r} s) must exceed "
+                    f"{lead!r} s, the longest lead of an event that reads "
+                    f"the lazy DCQCN timers"
+                )
+
+    def use_lane_bank(self, bank) -> None:
+        """Draw DCQCN reaction points from ``bank`` (``lanes``/``hybrid``)."""
+        self.lane_bank = bank
+        self._check_timer_lead(self._params)
+
+    # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
 
@@ -233,7 +317,17 @@ class Host:
             raise RuntimeError(f"{self.name} already has an uplink")
         self.egress = HostEgress(self.sim, link, self.config.mtu)
         self.line_rate = link.rate_bps
+        self._check_timer_lead(self._params)
         return 0
+
+    def set_ingress_peer(self, port: int, peer_egress: object, prop_delay: float) -> None:
+        """Record the delay of the link into the host (port 0).
+
+        Hosts send no PFC frames, so the peer egress is not kept; the
+        delay bounds the DCQCN timer periods (see :meth:`_check_timer_lead`).
+        """
+        self.ingress_delay = prop_delay
+        self._check_timer_lead(self._params)
 
     def reset(self, params: DcqcnParams) -> None:
         """Return the host to its just-built state (warm-rebuild path).
@@ -242,14 +336,14 @@ class Host:
         network passes a fresh copy of its configured default, undoing
         whatever the previous evaluation's tuner dispatched.
         """
+        if self.egress is not None:
+            self.egress.reset()
         self.params = params
         self._np_last_cnp.clear()
         self.rx_bytes = 0
         self.rx_data_packets = 0
         self.cnps_sent = 0
         self.probes_sent = 0
-        if self.egress is not None:
-            self.egress.reset()
 
     # ------------------------------------------------------------------
     # Sending
@@ -269,9 +363,9 @@ class Host:
             swift_params = self.swift_params or SwiftParams()
             rp = SwiftCc(self.sim, self.line_rate, lambda: swift_params)
         elif self.lane_bank is not None:
-            rp = self.lane_bank.new_rp(self.line_rate, lambda: self.params)
+            rp = self.lane_bank.new_rp(self.line_rate, lambda: self._params)
         else:
-            rp = DcqcnRp(self.sim, self.line_rate, lambda: self.params)
+            rp = DcqcnRp(self.sim, self.line_rate, lambda: self._params)
         rp.start()
         qp = SenderQp(flow, rp, self.sim.now)
         self.egress.add_qp(qp)
@@ -282,7 +376,7 @@ class Host:
         if self.egress is None:
             raise RuntimeError(f"{self.name} has no uplink")
         probe = Packet(
-            PacketKind.PROBE, -1, self.host_id, dst, sent_at=self.sim.now
+            _PROBE, -1, self.host_id, dst, sent_at=self.sim.now
         )
         self.probes_sent += 1
         self.egress.send_control(probe)
@@ -292,35 +386,33 @@ class Host:
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        if packet.kind == PacketKind.DATA:
-            self._receive_data(packet)
-        elif packet.kind == PacketKind.CNP:
+        kind = packet.kind
+        if kind == DATA:
+            self.rx_bytes += packet.payload
+            self.rx_data_packets += 1
+            if self.cc_mode == "swift":
+                self._send_ack(packet)
+            elif packet.ecn:
+                self._maybe_send_cnp(packet)
+            if packet.last:
+                self._np_last_cnp.pop(packet.flow_id, None)
+            if self.on_data is not None:
+                self.on_data(packet)
+            # The destination host is the packet's final consumer.
+            packet.release()
+        elif kind == _CNP:
             self._receive_cnp(packet)
-        elif packet.kind == PacketKind.PROBE:
+        elif kind == _PROBE:
             self._receive_probe(packet)
-        elif packet.kind == PacketKind.PROBE_ACK:
+        elif kind == _PROBE_ACK:
             self._receive_probe_ack(packet)
-        elif packet.kind == PacketKind.ACK:
+        elif kind == _ACK:
             self._receive_ack(packet)
-
-    def _receive_data(self, packet: Packet) -> None:
-        self.rx_bytes += packet.payload
-        self.rx_data_packets += 1
-        if self.cc_mode == "swift":
-            self._send_ack(packet)
-        elif packet.ecn:
-            self._maybe_send_cnp(packet)
-        if packet.last:
-            self._np_last_cnp.pop(packet.flow_id, None)
-        if self.on_data is not None:
-            self.on_data(packet)
-        # The destination host is the packet's final consumer.
-        packet.release()
 
     def _send_ack(self, packet: Packet) -> None:
         """Swift NP role: echo the transmit timestamp per data packet."""
         ack = Packet(
-            PacketKind.ACK,
+            _ACK,
             packet.flow_id,
             self.host_id,
             packet.src,
@@ -340,7 +432,7 @@ class Host:
         """NP role: per-flow CNP pacing at ``min_time_between_cnps``."""
         now = self.sim.now
         last = self._np_last_cnp.get(packet.flow_id)
-        if last is not None and now - last < self.params.min_time_between_cnps:
+        if last is not None and now - last < self._params.min_time_between_cnps:
             return
         self._np_last_cnp[packet.flow_id] = now
         self.cnps_sent += 1
@@ -356,7 +448,7 @@ class Host:
 
     def _receive_probe(self, packet: Packet) -> None:
         ack = Packet(
-            PacketKind.PROBE_ACK,
+            _PROBE_ACK,
             -1,
             self.host_id,
             packet.src,

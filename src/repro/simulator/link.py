@@ -8,8 +8,12 @@ structure that serializes packets onto the link one at a time:
   queue (control above data) with PFC pause on the data level and a
   dequeue callback so the owning switch can run buffer accounting.
 * Hosts implement their own pull-based egress (see
-  :mod:`repro.simulator.host`) but reuse :class:`Link` for delivery and
-  the shared pause bookkeeping in :class:`PauseState`.
+  :mod:`repro.simulator.host`) but reuse :class:`Link` and the shared
+  pause bookkeeping in :class:`PauseState`.
+
+Both egress kinds serialize and deliver inline: one engine event when
+a packet's last bit leaves the port, which schedules the packet's
+arrival at ``link.dst`` after ``link.prop_delay``.
 
 Packets of the same flow traverse a given link in FIFO order within
 their priority level; the simulator never reorders same-priority
@@ -22,14 +26,14 @@ from collections import deque
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.simulator.engine import Simulator
-from repro.simulator.packet import Packet
+from repro.simulator.packet import CONTROL_KINDS, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.network import Device
 
 
 class Link:
-    """Unidirectional link descriptor plus delivery helper."""
+    """Unidirectional link descriptor and transfer counters."""
 
     __slots__ = (
         "sim",
@@ -39,11 +43,9 @@ class Link:
         "dst_port",
         "rate_bps",
         "prop_delay",
+        "bits_per_rate",
         "tx_bytes",
         "tx_packets",
-        "_bits_per_rate",
-        "_schedule",
-        "_dst_receive",
     )
 
     def __init__(
@@ -67,27 +69,10 @@ class Link:
         self.dst_port = dst_port
         self.rate_bps = rate_bps
         self.prop_delay = prop_delay
+        #: Serialization delay of a packet is ``wire_size * bits_per_rate``.
+        self.bits_per_rate = 8.0 / rate_bps
         self.tx_bytes = 0
         self.tx_packets = 0
-        # Hot-path caches: the per-packet delivery path runs once per
-        # packet per hop, so precompute the serialization divisor and
-        # bind the scheduler / receiver methods once.  ``dst`` never
-        # changes after construction.
-        self._bits_per_rate = 8.0 / rate_bps
-        self._schedule = sim.schedule
-        self._dst_receive = dst.receive
-
-    def serialization_delay(self, packet: Packet) -> float:
-        return packet.wire_size * self._bits_per_rate
-
-    def deliver(self, packet: Packet) -> None:
-        """Schedule arrival at the far end after the propagation delay.
-
-        Called by the egress side at the instant serialization ends.
-        """
-        self.tx_bytes += packet.wire_size
-        self.tx_packets += 1
-        self._schedule(self.prop_delay, self._dst_receive, packet, self.dst_port)
 
     def reset(self) -> None:
         """Zero the transfer counters (warm-rebuild path)."""
@@ -170,11 +155,12 @@ class QueuedEgress:
         self.pause = PauseState(sim)
         # Running maxima/counters for stats.
         self.max_data_queue_bytes = 0
-        # Bound-method caches for the serialization loop (one schedule
-        # plus one deliver per packet through this port).
+        # Per-packet caches: the scheduler and the link's constants.
         self._schedule = sim.schedule
-        self._deliver = link.deliver
-        self._ser_delay = link.serialization_delay
+        self._bits_per_rate = link.bits_per_rate
+        self._prop_delay = link.prop_delay
+        self._dst_receive = link.dst.receive
+        self._dst_port = link.dst_port
 
     # -- queue state -------------------------------------------------
 
@@ -184,13 +170,14 @@ class QueuedEgress:
 
     def enqueue(self, packet: Packet) -> None:
         """Queue a packet and kick the serializer if idle."""
-        if packet.is_control:
+        if packet.kind in CONTROL_KINDS:
             self.control_queue.append(packet)
         else:
             self.data_queue.append(packet)
-            self.data_queue_bytes += packet.wire_size
-            if self.data_queue_bytes > self.max_data_queue_bytes:
-                self.max_data_queue_bytes = self.data_queue_bytes
+            queued = self.data_queue_bytes + packet.wire_size
+            self.data_queue_bytes = queued
+            if queued > self.max_data_queue_bytes:
+                self.max_data_queue_bytes = queued
         if not self.busy:
             self._start_next()
 
@@ -203,28 +190,35 @@ class QueuedEgress:
 
     # -- serialization loop -------------------------------------------
 
-    def _pick(self) -> Optional[Packet]:
+    def _start_next(self) -> None:
         if self.control_queue:
-            return self.control_queue.popleft()
-        if self.data_queue and not self.pause.paused:
+            packet = self.control_queue.popleft()
+        elif self.data_queue and not self.pause.paused:
             packet = self.data_queue.popleft()
             self.data_queue_bytes -= packet.wire_size
-            return packet
-        return None
-
-    def _start_next(self) -> None:
-        packet = self._pick()
-        if packet is None:
+        else:
             return
         self.busy = True
-        self._schedule(self._ser_delay(packet), self._finish, packet)
+        self._schedule(packet.wire_size * self._bits_per_rate, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:
-        self._deliver(packet)
+        # Delivery: the last bit is on the wire, arrival after prop delay.
+        link = self.link
+        link.tx_bytes += packet.wire_size
+        link.tx_packets += 1
+        self._schedule(self._prop_delay, self._dst_receive, packet, self._dst_port)
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
-        self.busy = False
-        self._start_next()
+        # Pick the next packet (the body of _start_next, still busy).
+        if self.control_queue:
+            packet = self.control_queue.popleft()
+        elif self.data_queue and not self.pause.paused:
+            packet = self.data_queue.popleft()
+            self.data_queue_bytes -= packet.wire_size
+        else:
+            self.busy = False
+            return
+        self._schedule(packet.wire_size * self._bits_per_rate, self._finish, packet)
 
     def reset(self) -> None:
         """Drop queued packets and all accounting (warm-rebuild path).

@@ -94,7 +94,7 @@ class Network:
         if mode != "off":
             self.lane_bank = DcqcnLaneBank(self.sim)
             for host in self.hosts:
-                host.lane_bank = self.lane_bank
+                host.use_lane_bank(self.lane_bank)
         if mode == "hybrid":
             self.fluid_lanes = FluidFlowLanes(self)
 
@@ -167,10 +167,10 @@ class Network:
         dev_b.attach_link(link_ba)
         egress_a = dev_a.egress[port_a] if isinstance(dev_a, Switch) else dev_a.egress
         egress_b = dev_b.egress[port_b] if isinstance(dev_b, Switch) else dev_b.egress
-        if isinstance(dev_a, Switch):
-            dev_a.set_ingress_peer(port_a, egress_b, delay)
-        if isinstance(dev_b, Switch):
-            dev_b.set_ingress_peer(port_b, egress_a, delay)
+        # Switches XOFF the peer egress; hosts bound their lazy DCQCN
+        # timer periods by the delay (Host._check_timer_lead).
+        dev_a.set_ingress_peer(port_a, egress_b, delay)
+        dev_b.set_ingress_peer(port_b, egress_a, delay)
         return port_a, port_b
 
     def _build_links(self) -> None:

@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.simulator.dcqcn import DcqcnParams, ecn_mark_probability
+from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link, QueuedEgress
-from repro.simulator.packet import Packet, PacketKind
+from repro.simulator.packet import DATA, Packet
 from repro.simulator.units import mb
 from repro.telemetry.registry import get_registry
 
@@ -188,47 +188,81 @@ class Switch:
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Ingress processing: measure, route, admit, mark, enqueue."""
+        """Ingress processing: measure, route, admit, mark, enqueue.
+
+        Routing (:meth:`_route`), the ECN curve
+        (:func:`~repro.simulator.dcqcn.ecn_mark_probability`) and the
+        ingress PFC check are inlined, with the same float expressions:
+        this runs once per packet per switch hop.
+        """
         self.rx_packets += 1
-        packet.ttl -= 1
-        if packet.ttl <= 0:
+        ttl = packet.ttl - 1
+        packet.ttl = ttl
+        if ttl <= 0:
             self._drop(packet)
             return
 
-        if packet.kind == PacketKind.DATA and self.measurement is not None:
+        is_data = packet.kind == DATA
+        if is_data and self.measurement is not None:
             self._observe(packet)
 
-        out_port = self._route(packet)
-        egress = self.egress[out_port]
+        # Routing (ECMP: deterministic per-flow hash, never reorders).
+        dst = packet.dst
+        ports = self.forward_table.get(dst)
+        if ports is None:
+            raise KeyError(
+                f"{self.name}: no route to host {dst} (packet {packet!r})"
+            )
+        if len(ports) == 1:
+            egress = self.egress[ports[0]]
+        else:
+            h = (packet.flow_id * 2654435761 + packet.src * 40503 + dst) & 0xFFFFFFFF
+            egress = self.egress[ports[h % len(ports)]]
 
         # Shared-buffer admission.
-        if self.occupied_bytes + packet.wire_size > self.config.buffer_bytes:
+        config = self.config
+        wire = packet.wire_size
+        occupied = self.occupied_bytes + wire
+        if occupied > config.buffer_bytes:
             self._drop(packet)
             return
-        self.occupied_bytes += packet.wire_size
+        self.occupied_bytes = occupied
         packet.ingress_port = in_port
-        self.ingress_bytes[in_port] += packet.wire_size
+        ingress_bytes = self.ingress_bytes
+        buffered = ingress_bytes[in_port] + wire
+        ingress_bytes[in_port] = buffered
 
         # ECN marking against the egress data-queue depth (CP role).
-        if (
-            self.config.ecn_enabled
-            and packet.kind == PacketKind.DATA
-        ):
+        if is_data and config.ecn_enabled:
             # virtual_bytes is the fluid plane's published load (hybrid
             # engine); 0 in off/lanes modes, so the depth — and every
             # downstream RNG draw — is unchanged there.
-            prob = ecn_mark_probability(
-                egress.data_queue_bytes + egress.virtual_bytes, self.params
-            )
-            if prob > 0.0 and self._rng.random() < prob:
-                packet.ecn = True
-                self.ecn_marked_packets += 1
+            depth = egress.data_queue_bytes + egress.virtual_bytes
+            params = self.params
+            if depth > params.k_min:
+                if depth >= params.k_max:
+                    prob = 1.0
+                else:
+                    span = params.k_max - params.k_min
+                    prob = params.p_max * (depth - params.k_min) / span
+                if prob > 0.0 and self._rng.random() < prob:
+                    packet.ecn = True
+                    self.ecn_marked_packets += 1
             self.data_packets_forwarded += 1
 
         egress.enqueue(packet)
 
-        if self.config.pfc_enabled:
-            self._pfc_check_ingress(in_port)
+        # Ingress PFC check: XOFF above the dynamic threshold, XON at or
+        # below half of it.  ``enqueue`` never touches buffer counters,
+        # so ``occupied`` and ``buffered`` are still current.
+        if config.pfc_enabled and in_port in self.ingress_peer:
+            free = config.buffer_bytes - occupied
+            threshold = config.pfc_alpha * (free if free > 0 else 0)
+            if not self._upstream_paused[in_port]:
+                if buffered > threshold:
+                    self._send_pfc(in_port, paused=True)
+            elif buffered <= threshold / 2.0:
+                self._send_pfc(in_port, paused=False)
 
     def _observe(self, packet: Packet) -> None:
         if self.dedup_marking:
@@ -318,31 +352,34 @@ class Switch:
         packet.release()
 
     def _on_dequeue(self, packet: Packet) -> None:
-        """Egress serialization finished: release buffer, maybe XON."""
-        self.occupied_bytes -= packet.wire_size
+        """Egress serialization finished: release buffer, maybe XON.
+
+        Same inline PFC check as the end of :meth:`receive`.
+        """
+        wire = packet.wire_size
+        occupied = self.occupied_bytes - wire
+        self.occupied_bytes = occupied
         in_port = packet.ingress_port
-        self.ingress_bytes[in_port] -= packet.wire_size
-        if self.config.pfc_enabled:
-            self._pfc_check_ingress(in_port)
+        buffered = self.ingress_bytes[in_port] - wire
+        self.ingress_bytes[in_port] = buffered
+        config = self.config
+        if config.pfc_enabled and in_port in self.ingress_peer:
+            free = config.buffer_bytes - occupied
+            threshold = config.pfc_alpha * (free if free > 0 else 0)
+            if not self._upstream_paused[in_port]:
+                if buffered > threshold:
+                    self._send_pfc(in_port, paused=True)
+            elif buffered <= threshold / 2.0:
+                self._send_pfc(in_port, paused=False)
 
     # ------------------------------------------------------------------
     # PFC (per-ingress-port dynamic threshold)
     # ------------------------------------------------------------------
 
     def _dt_threshold(self) -> float:
+        """XOFF threshold of the per-ingress check; XON is half of it."""
         free = self.config.buffer_bytes - self.occupied_bytes
         return self.config.pfc_alpha * max(free, 0)
-
-    def _pfc_check_ingress(self, port: int) -> None:
-        peer = self.ingress_peer.get(port)
-        if peer is None:
-            return
-        threshold = self._dt_threshold()
-        buffered = self.ingress_bytes[port]
-        if not self._upstream_paused[port] and buffered > threshold:
-            self._send_pfc(port, paused=True)
-        elif self._upstream_paused[port] and buffered <= threshold / 2.0:
-            self._send_pfc(port, paused=False)
 
     def _send_pfc(self, port: int, paused: bool) -> None:
         peer_egress, prop_delay = self.ingress_peer[port]

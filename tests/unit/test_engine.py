@@ -410,3 +410,63 @@ def test_reset_rejects_running_simulator(sim):
 
     sim.schedule(0.5, try_reset)
     sim.run()
+
+
+# ---------------------------------------------------------------------------
+# Cancelling an event that already ran
+# ---------------------------------------------------------------------------
+
+
+def test_cancel_after_dispatch_is_a_noop(sim):
+    """Timers re-arm from inside their own handler; cancelling the handle
+    that just fired must not count a phantom cancelled entry."""
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "x")
+    sim.run_until(1.0)
+    handle.cancel()
+    assert fired == ["x"]
+    assert not handle.cancelled
+    assert sim.cancelled_pending == 0
+    assert sim.pending_events == 0
+
+
+def test_cancel_from_own_handler_is_a_noop(sim):
+    handles = []
+
+    def rearm():
+        handles[-1].cancel()  # the handle being dispatched right now
+        if len(handles) < 5:
+            handles.append(sim.schedule(1.0, rearm))
+
+    handles.append(sim.schedule(1.0, rearm))
+    sim.run_until(10.0)
+    assert len(handles) == 5
+    assert sim.cancelled_pending == 0
+
+
+def test_cancelled_pending_counts_heap_entries_in_a_closed_loop(small_network):
+    """Property of the bookkeeping: after every ``run_until`` of a real
+    fabric (rate cuts cancel increase timers, hosts cancel wake timers),
+    ``cancelled_pending`` equals the cancelled entries really in the heap.
+    """
+    from repro.simulator.units import mb, ms
+    from repro.workloads import IncastWorkload
+
+    IncastWorkload(
+        receiver=0, senders=list(range(1, 8)), flow_size=mb(1.0)
+    ).install(small_network)
+    sim = small_network.sim
+    cancels = 0
+    for k in range(1, 11):
+        small_network.run_until(k * ms(1.0))
+        parked = sum(1 for _time, _seq, handle in sim._heap if handle.cancelled)
+        assert sim.cancelled_pending == parked
+        cancels += parked
+    assert cancels > 0  # the loop really cancelled something
+
+
+def test_cancel_after_reset_is_a_noop(sim):
+    handle = sim.schedule(1.0, lambda: None)
+    sim.reset()
+    handle.cancel()
+    assert sim.cancelled_pending == 0
