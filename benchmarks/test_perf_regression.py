@@ -177,7 +177,7 @@ def _fig5_style_grid():
 def test_parallel_sweep_matches_serial():
     """Identity and speedup of the persistent-worker sweep fabric.
 
-    The sweep runs under all three executor strategies.  Digests must
+    The sweep runs under both executor strategies.  Digests must
     be bit-identical everywhere (strategy choice is an implementation
     detail), and the fork-merge contract must hold exactly: the
     ``repro_evals_total`` delta the process pool merges back equals
@@ -217,10 +217,6 @@ def test_parallel_sweep_matches_serial():
     inline_evals = evals_total() - before
     assert inline_evals == len(tasks)
 
-    t0 = time.perf_counter()
-    threaded = SweepExecutor(jobs=jobs, strategy="thread").map(tasks)
-    thread_wall = time.perf_counter() - t0
-
     pool_ex = SweepExecutor(jobs=jobs, strategy="process")
     pool_ex.map(tasks)  # untimed: spawns + warms the persistent crew
     before = evals_total()
@@ -230,37 +226,28 @@ def test_parallel_sweep_matches_serial():
     pooled_evals = evals_total() - before
 
     # Identity: strategy choice must be invisible in the results.
-    for other in (threaded, pooled):
-        assert [r.fct_digest for r in inline] == [
-            r.fct_digest for r in other
-        ]
-        assert [r.interval_digest for r in inline] == [
-            r.interval_digest for r in other
-        ]
-        assert [r.utilities for r in inline] == [
-            r.utilities for r in other
-        ]
+    assert [r.fct_digest for r in inline] == [r.fct_digest for r in pooled]
+    assert [r.interval_digest for r in inline] == [
+        r.interval_digest for r in pooled
+    ]
+    assert [r.utilities for r in inline] == [r.utilities for r in pooled]
     # Fork-merge metric contract: every worker-side evaluation is
     # merged back into the parent registry, exactly once.
     assert pooled_evals == inline_evals
 
     speedup = inline_wall / pooled_wall if pooled_wall else 0.0
-    thread_speedup = inline_wall / thread_wall if thread_wall else 0.0
     cores = os.cpu_count() or 1
     _record(
         "sweep",
         {"points": len(tasks), "serial_wall_s": inline_wall,
-         "thread_wall_s": thread_wall, "pool_wall_s": pooled_wall,
+         "pool_wall_s": pooled_wall,
          "jobs": jobs, "cores": cores, "speedup": speedup,
-         "thread_speedup": thread_speedup,
          "stolen_chunks": pool_ex.last_stolen_chunks, "smoke": SMOKE},
     )
     emit(
         "perf_sweep",
         f"{len(tasks)}-task sweep on {cores} cores:\n"
         f"inline            : {inline_wall:.2f} s\n"
-        f"thread  (jobs={jobs}) : {thread_wall:.2f} s "
-        f"({thread_speedup:.2f}x)\n"
         f"process (jobs={jobs}) : {pooled_wall:.2f} s "
         f"({speedup:.2f}x warm, strict gate: >= 2.5x on >= 4 cores)",
     )
@@ -593,14 +580,13 @@ def test_monitor_pipeline_throughput():
 
 
 # ---------------------------------------------------------------------------
-# Hybrid flow/packet engine: lanes identity always, hybrid >= 3x under strict
+# Hybrid flow/packet engine: hybrid >= 3x under strict
 # ---------------------------------------------------------------------------
 
 
 def _hybrid_engine_run(mode: str, duration: float):
     """One saturated all-to-all on the medium fabric under ``mode``."""
     from repro.experiments.scenarios import SPECS
-    from repro.parallel.tasks import fct_digest
     from repro.simulator.network import Network, NetworkConfig
     from repro.simulator.units import mb
     from repro.workloads.incast import AllToAllOnce
@@ -612,7 +598,7 @@ def _hybrid_engine_run(mode: str, duration: float):
     t0 = time.perf_counter()
     net.sim.run_until(duration)
     wall = time.perf_counter() - t0
-    return net.sim.events_dispatched, wall, fct_digest(net.records)
+    return net.sim.events_dispatched, wall
 
 
 def test_hybrid_engine_speedup():
@@ -620,69 +606,35 @@ def test_hybrid_engine_speedup():
 
     Runs the same medium-fabric all-to-all (every downlink saturated —
     the case where packet-level cost peaks and the fluid fast path pays
-    off) under all three ``REPRO_HYBRID_ENGINE`` modes.  The ``lanes``
-    digest-identity check always asserts (it is a determinism property,
-    not a timing), as does the structural check that ``hybrid`` really
-    collapses the event population.  The >= 3x effective-throughput
-    gate — the scenario's event work retired per second of wall-clock,
-    ``off_events / hybrid_wall`` vs ``off_events / off_wall`` — joins
-    them under ``REPRO_BENCH_STRICT=1``.
-
-    The recorded ``lanes_speedup`` is what the *production* resolution
-    delivers: this scenario's 240 expected QPs sit below the
-    ``REPRO_LANES_MIN_QPS`` floor (256), so an unpinned ``lanes``
-    request resolves to ``off`` via :func:`~repro.simulator.hybrid.
-    lanes_floor` — structurally the identical code path, speedup
-    exactly 1.0 (``lanes_fallback`` records the decision).  A scenario
-    above the floor records the measured forced-lanes timing instead.
-    Either way ``lanes_speedup >= 1.0`` is asserted: the lane bank must
-    never lose to ``off`` (the BENCH_20260808 0.94x regression mode).
-    The forced-lanes run still executes for the digest/event checks.
+    off) under both ``REPRO_HYBRID_ENGINE`` modes.  The structural check
+    that ``hybrid`` really collapses the event population always
+    asserts.  The >= 3x effective-throughput gate — the scenario's event
+    work retired per second of wall-clock, ``off_events / hybrid_wall``
+    vs ``off_events / off_wall`` — joins it under
+    ``REPRO_BENCH_STRICT=1``.
     """
-    from repro.simulator.hybrid import lanes_floor
-
     duration = 0.004 if SMOKE else 0.015
     repeats = 1 if SMOKE else 3
     runs = {}
-    for mode in ("off", "lanes", "hybrid"):
+    for mode in ("off", "hybrid"):
         best = None
         for _ in range(repeats):
-            events, wall, digest = _hybrid_engine_run(mode, duration)
-            if best is None or wall < best[1]:
-                best = (events, wall, digest)
+            run = _hybrid_engine_run(mode, duration)
+            if best is None or run[1] < best[1]:
+                best = run
         runs[mode] = best
 
-    off_events, off_wall, off_digest = runs["off"]
-    lanes_events, lanes_wall, lanes_digest = runs["lanes"]
-    hybrid_events, hybrid_wall, _ = runs["hybrid"]
+    off_events, off_wall = runs["off"]
+    hybrid_events, hybrid_wall = runs["hybrid"]
 
-    # Identity first: the lanes timer plane is a pure representation
-    # change — same flows, same completion times, fewer engine events.
-    assert lanes_digest == off_digest
-    assert lanes_events < off_events
     # The fluid fast path must actually absorb the elephants.
     assert hybrid_events < off_events / 10
 
-    # What an unpinned `lanes` request actually runs on this scenario.
-    expected_qps = 16 * 15  # AllToAllOnce full mesh, n_workers = 16
-    effective_mode = lanes_floor("lanes", expected_qps)
-    lanes_fallback = effective_mode == "off"
-    if lanes_fallback:
-        # The floor resolved lanes -> off: byte-for-byte the off path,
-        # so the production speedup is structurally 1.0 — recording a
-        # re-measured off-vs-off ratio would just bottle timing noise.
-        lanes_speedup = 1.0
-    else:
-        lanes_speedup = off_wall / lanes_wall if lanes_wall else 0.0
     hybrid_speedup = off_wall / hybrid_wall if hybrid_wall else 0.0
     _record(
         "hybrid_engine",
         {"off_events": off_events, "off_wall_s": off_wall,
          "off_events_per_sec": off_events / off_wall,
-         "lanes_events": lanes_events, "lanes_wall_s": lanes_wall,
-         "lanes_effective_events_per_sec": off_events / lanes_wall,
-         "lanes_speedup": lanes_speedup,
-         "lanes_fallback": lanes_fallback,
          "hybrid_events": hybrid_events, "hybrid_wall_s": hybrid_wall,
          "hybrid_effective_events_per_sec": off_events / hybrid_wall,
          "hybrid_speedup": hybrid_speedup, "smoke": SMOKE},
@@ -692,19 +644,9 @@ def test_hybrid_engine_speedup():
         f"alltoall/medium {duration}s (seed 1):\n"
         f"off     : {off_events} events in {off_wall:.3f} s "
         f"= {off_events / off_wall:,.0f} ev/s\n"
-        f"lanes   : {lanes_events} events in {lanes_wall:.3f} s "
-        f"(effective {lanes_speedup:.2f}x"
-        + (", QP floor fell back to off" if lanes_fallback else "")
-        + ", digest-identical)\n"
         f"hybrid  : {hybrid_events} events in {hybrid_wall:.3f} s "
         f"({hybrid_speedup:.2f}x effective, strict gate: >= 3x)",
     )
-    if not SMOKE:
-        assert lanes_speedup >= 1.0, (
-            f"lanes mode loses to off ({lanes_speedup:.2f}x) and the "
-            f"REPRO_LANES_MIN_QPS floor did not catch it "
-            f"(expected_qps={expected_qps}, fallback={lanes_fallback})"
-        )
     if STRICT and not SMOKE:
         assert hybrid_speedup >= 3.0, (
             f"hybrid engine only {hybrid_speedup:.2f}x the packet-level "

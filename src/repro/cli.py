@@ -93,11 +93,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strategy",
-        choices=["auto", "process", "thread", "inline"],
+        choices=["auto", "process", "inline"],
         default=None,
         help="parallel eval strategy: auto measures per-task cost and "
              "picks, process = persistent worker pool with "
-             "shared-memory transport, thread, inline; results are "
+             "shared-memory transport, inline = in process; results are "
              "digest-identical across strategies (default: "
              "REPRO_EXECUTOR_STRATEGY env, auto when unset)",
     )
@@ -132,14 +132,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--hybrid-engine",
-        choices=["off", "lanes", "hybrid"],
+        choices=["off", "hybrid"],
         default=None,
         metavar="MODE",
-        help="hybrid flow/packet engine: off = pure DES, lanes = "
-             "vectorized DCQCN timer lanes (bit-identical, faster), "
-             "hybrid = fluid fast path for elephant flows (fastest, "
-             "approximate) (default: REPRO_HYBRID_ENGINE env, off "
-             "when unset)",
+        help="hybrid flow/packet engine: off = pure DES, hybrid = "
+             "fluid fast path for elephant flows over packet-level "
+             "mice (faster, approximate) (default: REPRO_HYBRID_ENGINE "
+             "env, off when unset)",
     )
 
 

@@ -93,7 +93,7 @@ _declare(
     "REPRO_EXECUTOR_STRATEGY", "str", "auto",
     "Parallel eval strategy (`--strategy`): `auto` estimates per-task "
     "cost online and picks, `process` = persistent worker pool with "
-    "shared-memory transport, `thread`, `inline`. Results are "
+    "shared-memory transport, `inline` = in process. Results are "
     "digest-identical across strategies.",
 )
 _declare(
@@ -136,11 +136,6 @@ _declare(
     "...) or a numeric level.",
 )
 _declare(
-    "REPRO_PACKET_FREELIST", "bool", True,
-    "Packet free-list recycling in the simulator hot path; disable "
-    "(`0`/`off`) when debugging object identity. Read at import time.",
-)
-_declare(
     "REPRO_BATCHED_MONITOR", "bool", True,
     "Vectorized monitoring data plane (`--batched-monitor`); results "
     "are bit-identical either way, the scalar path is just slower.",
@@ -148,19 +143,8 @@ _declare(
 _declare(
     "REPRO_HYBRID_ENGINE", "str", "off",
     "Hybrid flow/packet engine mode (`--hybrid-engine`): `off` = pure "
-    "DES (digest-identical to the seed), `lanes` = vectorized DCQCN "
-    "timer lanes (bit-identical, faster), `hybrid` = fluid fast path "
-    "for elephants (fastest, approximate).",
-)
-_declare(
-    "REPRO_LANES_MIN_QPS", "int", 256,
-    "Expected-QP floor for `--hybrid-engine lanes`: scenarios whose "
-    "concurrent QP population is below this fall back to the scalar "
-    "`off` path (the lane bank's batch arithmetic loses on tiny "
-    "populations; the `hybrid_engine` bench showed `lanes` losing to "
-    "`off` at 240 QPs, hence the floor sits above that). "
-    "Digest-identical either way; the decision is recorded as an "
-    "`engine.lanes_fallback` trace event.",
+    "DES (digest-identical to the seed), `hybrid` = fluid fast path "
+    "for elephants over packet-level mice (faster, approximate).",
 )
 _declare(
     "REPRO_CP_SHARDS", "int", 4,

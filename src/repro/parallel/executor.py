@@ -7,14 +7,13 @@ sweeps) relies on to stay byte-compatible with serial execution.
 
 Design points:
 
-* **Strategy selection** (``--strategy auto|process|thread|inline``,
+* **Strategy selection** (``--strategy auto|process|inline``,
   ``REPRO_EXECUTOR_STRATEGY``) — ``auto`` estimates per-task wall time
   from an online EMA keyed by scenario fingerprint (probing one task
   inline for never-seen scenarios) and dispatches accordingly: tasks
-  cheaper than the IPC round trip run inline, a middle band runs on
-  threads (no pickling; fine for short tasks where fork dispatch
-  dominates), and DES-heavy tasks go to the persistent process pool.
-  Every strategy is digest-identical — evaluations are pure.
+  cheaper than the pool's dispatch and pickling cost run inline,
+  DES-heavy tasks go to the persistent process pool.  Both strategies
+  are digest-identical — evaluations are pure.
 * **Persistent process pool** — the ``process`` path dispatches to the
   process-wide :func:`~repro.parallel.pool.get_shared_pool`, whose
   workers are forked once and keep their warm fabrics across sweeps
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
@@ -74,14 +72,12 @@ _POOL_TASKS = get_registry().counter(
 #: Env knob / CLI flag selecting the execution strategy.
 EXECUTOR_STRATEGY_ENV = "REPRO_EXECUTOR_STRATEGY"
 
-#: Recognized strategies.  ``auto`` picks among the other three.
-STRATEGIES = ("auto", "process", "thread", "inline")
+#: Recognized strategies.  ``auto`` picks between the other two.
+STRATEGIES = ("auto", "process", "inline")
 
-#: ``auto`` cost cutoffs (estimated seconds per task): below the first,
-#: dispatch overhead of any kind loses to just evaluating; between
-#: them, thread dispatch (no pickling) wins; above, processes.
-_INLINE_COST_S = 0.002
-_THREAD_COST_S = 0.010
+#: ``auto`` cost cutoff (estimated seconds per task): below it, pool
+#: dispatch and pickling lose to just evaluating in process.
+_INLINE_COST_S = 0.010
 
 #: Adaptive chunking aims for this much estimated work per chunk.
 _TARGET_CHUNK_S = 0.2
@@ -145,10 +141,8 @@ class SweepExecutor:
         self.last_retried_chunks = 0
         self.last_stolen_chunks = 0
         self.last_strategy: Optional[str] = None
-        # In-process warm fabrics (parent inline path / stolen chunks)
-        # plus one per thread for the thread strategy.
+        # In-process warm fabrics (parent inline path / stolen chunks).
         self._warm = WarmCache()
-        self._tls = threading.local()
         # Per-scenario EMA of task wall seconds, feeding `auto`.
         self._cost_ema: Dict[str, float] = {}
         self._pool: Optional[WorkerPool] = None
@@ -213,8 +207,6 @@ class SweepExecutor:
                 if strategy == "inline":
                     for pos in pending:
                         results[pos] = self._evaluate_with_cache(tasks[pos])
-                elif strategy == "thread":
-                    self._run_threads(tasks, pending, results, chunk)
                 else:
                     self._run_pool(tasks, pending, results, chunk)
 
@@ -258,8 +250,6 @@ class SweepExecutor:
             return "inline", cost
         if cost < _INLINE_COST_S:
             return "inline", cost
-        if cost < _THREAD_COST_S:
-            return "thread", cost
         return "process", cost
 
     def _chunk_for(self, n_pending: int, est_cost: Optional[float]) -> int:
@@ -328,45 +318,6 @@ class SweepExecutor:
         result = self._evaluate_inline(task)
         self._cache_put(task, result)
         return result
-
-    # -- thread strategy ------------------------------------------------
-
-    def _thread_chunk(
-        self, tasks: List[EvalTask], positions: List[int]
-    ) -> List[EvalResult]:
-        warm = getattr(self._tls, "warm", None)
-        if warm is None:
-            # One warm fabric per thread: Network.reset is stateful.
-            warm = WarmCache()
-            self._tls.warm = warm
-        return [evaluate_warm(tasks[pos], warm) for pos in positions]
-
-    def _run_threads(
-        self,
-        tasks: List[EvalTask],
-        pending: List[int],
-        results: Dict[int, EvalResult],
-        chunk: int,
-    ) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [
-            pending[i : i + chunk] for i in range(0, len(pending), chunk)
-        ]
-        with ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(chunks))
-        ) as pool:
-            futures = [
-                (c, pool.submit(self._thread_chunk, tasks, c))
-                for c in chunks
-            ]
-            for positions, future in futures:
-                for pos, result in zip(positions, future.result()):
-                    results[pos] = result
-                    self._cache_put(tasks[pos], result)
-                    self._note_cost(
-                        tasks[pos].scenario.fingerprint(), result.wall_time
-                    )
 
     # -- process strategy -----------------------------------------------
 

@@ -38,8 +38,7 @@ def offline_grid_search_parallel(
 ) -> Tuple[GridPointResult, List[GridPointResult]]:
     """Offline sweep over a :class:`~repro.parallel.tasks.ScenarioSpec`.
 
-    Same contract as :func:`~repro.tuning.grid.offline_grid_search` —
-    ``(best, results)`` with results in grid order — but each point is
+    Returns ``(best, results)`` with results in grid order.  Each point is
     a self-contained :class:`~repro.parallel.tasks.EvalTask`, so the
     sweep fans out over a process pool and reuses the evaluation cache
     across repeated sweeps.  With ``jobs=1`` the results are
@@ -105,9 +104,8 @@ def offline_grid_search_parallel(
                     -i,
                 ),
             )
-            # engine_mode=None honours a session-wide `lanes` setting
-            # (bit-identical to `off`), so the confirmation stays full
-            # fidelity either way.
+            # engine_mode=None follows REPRO_HYBRID_ENGINE (`off`,
+            # full fidelity, unless the user chose `hybrid`).
             confirm = executor.map(
                 [
                     EvalTask(

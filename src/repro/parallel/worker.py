@@ -43,7 +43,6 @@ from repro.parallel.tasks import (
     build_scenario,
     evaluate_task,
     extract_schedule,
-    warm_engine_mode,
 )
 from repro.telemetry.registry import get_registry
 
@@ -81,15 +80,10 @@ class WarmCache:
         network = None
         if schedule is not None:
             # Empty schedule -> bare fabric; flows are replayed per
-            # task.  Built in the mode unpinned tasks will resolve
-            # (including the lanes QP floor) so the warm network
-            # survives evaluate_task's mode-mismatch guard.
-            network, _, _ = build_scenario(
-                spec,
-                spec.seed,
-                [],
-                engine_mode=warm_engine_mode(spec, schedule),
-            )
+            # task.  Built in the environment's engine mode, which
+            # unpinned tasks resolve too, so the warm network survives
+            # evaluate_task's mode-mismatch guard.
+            network, _, _ = build_scenario(spec, spec.seed, [])
         self._entries[fp] = (schedule, network)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -35,7 +35,7 @@ from repro.simulator.packet import (
     cnp_packet,
     data_packet,
 )
-from repro.simulator.units import DEFAULT_MTU, HEADER_BYTES
+from repro.simulator.units import DEFAULT_MTU
 
 _INF = float("inf")
 _CNP = PacketKind.CNP
@@ -231,11 +231,6 @@ class Host:
         # when the fabric is wired); bounds the DCQCN timer periods.
         self.ingress_delay = 0.0
 
-        # Vectorized RP lane bank (hybrid-engine `lanes`/`hybrid`
-        # modes).  Installed by the Network (:meth:`use_lane_bank`);
-        # when set, DCQCN QPs draw their reaction point from the bank
-        # instead of allocating a scalar DcqcnRp.
-        self.lane_bank = None
         self.params = params
 
         # Notification Point state: flow id -> last CNP emission time.
@@ -264,9 +259,9 @@ class Host:
     def params(self, params: DcqcnParams) -> None:
         """Install ``params``, first settling the lazy DCQCN timers.
 
-        Each QP replays the timer ticks due by now under the outgoing
-        parameters, so every tick uses the parameters (``dce_tcp_g``,
-        ``dce_tcp_rtt``, the increase knobs) in force when it was due.
+        Each QP replays the alpha-decay ticks due by now under the
+        outgoing parameters, so every tick uses the ``dce_tcp_g`` and
+        ``dce_tcp_rtt`` in force when it was due.
         """
         self._check_timer_lead(params)
         if self.egress is not None and self.cc_mode == "dcqcn":
@@ -275,37 +270,22 @@ class Host:
         self._params = params
 
     def _check_timer_lead(self, params: DcqcnParams) -> None:
-        """Lazy DCQCN timers need periods longer than any event lead.
+        """The lazy alpha-decay timer needs a period longer than any lead.
 
-        A timer tick due at ``t`` was armed one period before ``t``.  The
-        events that read RP state at ``t`` were scheduled later: a CNP
-        one ingress propagation delay before, and, for the lane bank's
-        lazy increase timer, a finished transmission one serialization
-        delay before.  Only then does the tick precede them, which is
-        the order the lazy replay assumes.
+        A decay tick due at ``t`` was armed one ``dce_tcp_rtt`` before
+        ``t``; a CNP read at ``t`` was scheduled one ingress propagation
+        delay before.  Only when the period exceeds that delay does the
+        tick precede the CNP, which is the order the lazy replay assumes.
         """
         if self.cc_mode != "dcqcn":
             return
-        checks = [("dce_tcp_rtt", self.ingress_delay)]
-        if self.lane_bank is not None:
-            lead = self.ingress_delay
-            if self.line_rate > 0:
-                mtu_bits = (self.config.mtu + HEADER_BYTES) * 8.0
-                lead = max(lead, mtu_bits / self.line_rate)
-            checks.append(("rpg_time_reset", lead))
-        for name, lead in checks:
-            period = getattr(params, name)
-            if not period > lead:
-                raise ValueError(
-                    f"{self.name}: {name} ({period!r} s) must exceed "
-                    f"{lead!r} s, the longest lead of an event that reads "
-                    f"the lazy DCQCN timers"
-                )
-
-    def use_lane_bank(self, bank) -> None:
-        """Draw DCQCN reaction points from ``bank`` (``lanes``/``hybrid``)."""
-        self.lane_bank = bank
-        self._check_timer_lead(self._params)
+        period = params.dce_tcp_rtt
+        if not period > self.ingress_delay:
+            raise ValueError(
+                f"{self.name}: dce_tcp_rtt ({period!r} s) must exceed "
+                f"the ingress propagation delay ({self.ingress_delay!r} s), "
+                f"the lead of a CNP over the lazy alpha-decay tick"
+            )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -362,8 +342,6 @@ class Host:
 
             swift_params = self.swift_params or SwiftParams()
             rp = SwiftCc(self.sim, self.line_rate, lambda: swift_params)
-        elif self.lane_bank is not None:
-            rp = self.lane_bank.new_rp(self.line_rate, lambda: self._params)
         else:
             rp = DcqcnRp(self.sim, self.line_rate, lambda: self._params)
         rp.start()

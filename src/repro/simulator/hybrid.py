@@ -12,13 +12,10 @@ Engine modes (``REPRO_HYBRID_ENGINE`` / ``--hybrid-engine``):
 
 * ``off`` — pure DES.  Digest-identical to the seed behaviour; the
   default, and what Tier-1 and the eval cache run against.
-* ``lanes`` — scalar per-QP DCQCN timers are replaced by the
-  vectorized :class:`~repro.simulator.dcqcn.DcqcnLaneBank`.  Same
-  arithmetic, same per-packet interface; run digests are bit-identical
-  (the ``REPRO_BATCHED_MONITOR`` gating pattern).
-* ``hybrid`` — ``lanes`` plus the fluid fast path for flows at or
-  above ``elephant_threshold``.  Approximate: utilities must land
-  within the committed band, digests are *not* comparable.
+* ``hybrid`` — ``off`` plus the fluid fast path for flows at or above
+  ``elephant_threshold``; the packet-level mice keep their scalar
+  :class:`~repro.simulator.dcqcn.DcqcnRp`.  Approximate: utilities
+  must land within the committed band, digests are *not* comparable.
 
 Sync-point model: every ``sync_interval`` the fluid plane integrates
 its lanes (internally sub-stepped at the surrogate's ``DEFAULT_DT``
@@ -60,11 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Environment knob / CLI flag selecting the engine mode.
 HYBRID_ENGINE_ENV = "REPRO_HYBRID_ENGINE"
 
-#: QP-count floor below which ``lanes`` falls back to ``off``.
-LANES_MIN_QPS_ENV = "REPRO_LANES_MIN_QPS"
-
 #: Recognized engine modes, least to most approximate.
-HYBRID_MODES = ("off", "lanes", "hybrid")
+HYBRID_MODES = ("off", "hybrid")
 
 
 def resolve_hybrid_mode(mode: Optional[str] = None) -> str:
@@ -79,29 +73,12 @@ def resolve_hybrid_mode(mode: Optional[str] = None) -> str:
 
 
 def lanes_floor(mode: str, expected_qps: Optional[int]) -> str:
-    """Resolve ``lanes`` down to ``off`` for tiny QP populations.
+    """Return ``mode`` unchanged.
 
-    The lane bank's batched rate-update arithmetic only pays for itself
-    once enough QPs share a coalesced timer deadline; on small fabrics
-    the numpy dispatch overhead loses to the scalar path (BENCH
-    measured ``lanes_speedup = 0.92`` on a 16-worker alltoall).  Below
-    ``REPRO_LANES_MIN_QPS`` expected concurrent QPs the requested
-    ``lanes`` mode is resolved to ``off`` — invisible to results, since
-    the two modes are digest-identical by construction.  An unknown
-    population (``expected_qps is None``) keeps the requested mode, as
-    does any mode other than ``lanes``.
+    Kept only because ``perfbench/workloads.py`` imports it; with no
+    lanes mode there is nothing to floor.
     """
-    if mode != "lanes" or expected_qps is None:
-        return mode
-    threshold = env.get(LANES_MIN_QPS_ENV)
-    if expected_qps >= threshold:
-        return mode
-    if trace.active:
-        trace.event(
-            "engine.lanes_fallback",
-            {"expected_qps": expected_qps, "threshold": threshold},
-        )
-    return "off"
+    return mode
 
 
 @dataclass(frozen=True)
@@ -190,7 +167,7 @@ class FluidFlowLanes:
         self._cols = None
 
         # Synthetic probe plane (dedicated RNG: fluid sampling must not
-        # perturb the network RNG that off/lanes digests depend on).
+        # perturb the network RNG that off-mode digests depend on).
         self._probe_rng = random.Random(
             (network.config.seed << 8) ^ 0x9E3779B1
         )

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Union
 
-from repro.simulator.dcqcn import DcqcnLaneBank, DcqcnParams
+from repro.simulator.dcqcn import DcqcnParams
 from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow, FlowRecord
 from repro.simulator.host import Host, HostConfig
@@ -49,9 +49,9 @@ class NetworkConfig:
     # Paraleon) or "swift" (delay-based, Section VI related work).
     cc: str = "dcqcn"
     swift_params: object = None
-    # Hybrid engine mode ("off" | "lanes" | "hybrid"); None resolves
+    # Hybrid engine mode ("off" | "hybrid"); None resolves
     # REPRO_HYBRID_ENGINE at construction time.  Only meaningful for
-    # cc="dcqcn" — other controllers silently run the scalar path.
+    # cc="dcqcn" — other controllers silently run the pure DES.
     hybrid_engine: Optional[str] = None
 
 
@@ -87,14 +87,9 @@ class Network:
 
         mode = resolve_hybrid_mode(self.config.hybrid_engine)
         if self.config.cc != "dcqcn":
-            mode = "off"  # lanes vectorize DcqcnRp only
+            mode = "off"  # the fluid plane models DCQCN only
         self.hybrid_mode = mode
-        self.lane_bank: Optional[DcqcnLaneBank] = None
         self.fluid_lanes: Optional[FluidFlowLanes] = None
-        if mode != "off":
-            self.lane_bank = DcqcnLaneBank(self.sim)
-            for host in self.hosts:
-                host.use_lane_bank(self.lane_bank)
         if mode == "hybrid":
             self.fluid_lanes = FluidFlowLanes(self)
 
@@ -252,8 +247,6 @@ class Network:
         if self.fluid_lanes is not None:
             self.fluid_lanes.reset()
         self.sim.reset()
-        if self.lane_bank is not None:
-            self.lane_bank.reset()
         self._rng = random.Random(cfg.seed)
 
         self.flows.clear()
@@ -384,32 +377,17 @@ class Network:
     def qp_sample(self) -> dict:
         """Aggregate DCQCN state across active QPs (read-only).
 
-        Pulls from whichever congestion-control plane is live: the
-        vectorized lane bank in ``lanes``/``hybrid`` mode (one numpy
-        reduction instead of a per-QP walk), the scalar per-host RPs
-        otherwise, plus the fluid elephant lanes in ``hybrid`` mode.
+        Sums the per-host scalar RPs, plus the fluid elephant lanes in
+        ``hybrid`` mode.
         """
-        if self.lane_bank is not None:
-            sample = self.lane_bank.qp_sample()
-        else:
-            sample = {
-                "n": 0, "rate_sum": 0.0, "rate_min": 0.0,
-                "alpha_sum": 0.0, "alpha_max": 0.0, "cnps": 0,
-            }
-            for host in self.hosts:
-                part = host.qp_sample()
-                if part["n"]:
-                    sample["rate_min"] = (
-                        min(sample["rate_min"], part["rate_min"])
-                        if sample["n"] else part["rate_min"]
-                    )
-                    sample["n"] += part["n"]
-                    sample["rate_sum"] += part["rate_sum"]
-                    sample["alpha_sum"] += part["alpha_sum"]
-                    sample["alpha_max"] = max(sample["alpha_max"], part["alpha_max"])
-                    sample["cnps"] += part["cnps"]
+        sample = {
+            "n": 0, "rate_sum": 0.0, "rate_min": 0.0,
+            "alpha_sum": 0.0, "alpha_max": 0.0, "cnps": 0,
+        }
+        parts = [host.qp_sample() for host in self.hosts]
         if self.fluid_lanes is not None:
-            part = self.fluid_lanes.qp_sample()
+            parts.append(self.fluid_lanes.qp_sample())
+        for part in parts:
             if part["n"]:
                 sample["rate_min"] = (
                     min(sample["rate_min"], part["rate_min"])

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from enum import IntEnum
 
-from repro import env
 from repro.simulator.units import CONTROL_PACKET_BYTES, HEADER_BYTES
 
 INITIAL_TTL = 64
@@ -26,11 +25,9 @@ INITIAL_TTL = 64
 #: them cuts a measurable slice of allocator work out of the hot path.
 #: The pool only ever yields a packet whose every field has been
 #: re-initialised, so recycled packets are indistinguishable from fresh
-#: ones (including a fresh ``pkt_id``).  Disable with
-#: ``REPRO_PACKET_FREELIST=0`` when debugging object identity.
+#: ones (including a fresh ``pkt_id``).
 _FREELIST: list = []
 _FREELIST_MAX = 8192
-_FREELIST_ENABLED = env.get("REPRO_PACKET_FREELIST")
 
 
 def freelist_occupancy() -> int:
@@ -147,7 +144,7 @@ class Packet:
         object can be handed out again by :func:`data_packet` with all
         fields re-initialised.  Idempotent.
         """
-        if self._pooled or not _FREELIST_ENABLED:
+        if self._pooled:
             return
         if len(_FREELIST) < _FREELIST_MAX:
             self._pooled = True

@@ -235,7 +235,7 @@ class Switch:
         # ECN marking against the egress data-queue depth (CP role).
         if is_data and config.ecn_enabled:
             # virtual_bytes is the fluid plane's published load (hybrid
-            # engine); 0 in off/lanes modes, so the depth — and every
+            # engine); 0 in off mode, so the depth — and every
             # downstream RNG draw — is unchanged there.
             depth = egress.data_queue_bytes + egress.virtual_bytes
             params = self.params

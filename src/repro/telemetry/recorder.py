@@ -4,9 +4,9 @@ The trace layer (:mod:`repro.telemetry.trace`) answers "which code ran
 and how long did it take"; the flight recorder answers "what did the
 *network* do": per-switch egress queue depth / ECN-mark / PFC-pause
 counters, aggregate per-QP DCQCN state (rate, alpha, CNP count) from
-whichever congestion-control plane is active (scalar RPs, the
-vectorized lane bank, or the hybrid fluid lanes), and per-flow
-lifecycle records (start, size, completion -> FCT).
+the scalar reaction points plus, in ``hybrid`` mode, the fluid
+elephant lanes, and per-flow lifecycle records (start, size,
+completion -> FCT).
 
 Design constraints, in order:
 

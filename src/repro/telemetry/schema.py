@@ -73,7 +73,6 @@ EVENT_ATTRS: Dict[str, Tuple[str, ...]] = {
     ),
     # hybrid flow/packet engine: one per fluid sync point
     "engine.hybrid": ("t", "fluid_flows", "fluid_bytes", "virtual_queue_max"),
-    "engine.lanes_fallback": ("expected_qps", "threshold"),
     # evaluation fabric
     "cache.lookup": ("hit", "scenario", "seed"),
     "executor.retry": ("positions", "timeout"),

@@ -19,7 +19,6 @@ from repro.tuning.search import Tuner, StaticTuner
 from repro.tuning.grid import (
     GridSearchTuner,
     expand_grid,
-    offline_grid_search,
 )
 from repro.tuning.eval_cache import EvalCache, default_cache, quantize_params
 from repro.tuning.fidelity import (
@@ -46,7 +45,6 @@ __all__ = [
     "StaticTuner",
     "GridSearchTuner",
     "expand_grid",
-    "offline_grid_search",
     "EvalCache",
     "default_cache",
     "quantize_params",

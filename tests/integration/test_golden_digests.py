@@ -12,8 +12,8 @@ and say why in the change description.
 
 The scenarios cover the code paths a datapath rewrite can disturb:
 FB-Hadoop under the closed Paraleon loop (live parameter dispatches
-that change ``dce_tcp_g``), a one-shot all-to-all, an incast under all
-three engine modes, Swift delay-based CC (ACK path) and a shallow-buffer
+that change ``dce_tcp_g``), a one-shot all-to-all, an incast under both
+engine modes, Swift delay-based CC (ACK path) and a shallow-buffer
 incast that spends most of its time PFC-paused.  ``alpha`` pins hash the
 per-interval ``qp_sample()`` (rate and alpha aggregates) of the incast,
 which reads DCQCN alpha between congestion notifications.
@@ -47,19 +47,11 @@ GOLDEN = {
         "7615c9f794da6dde9373368ae889f505454b4463aabd2db5fe54d1a144681816",
         "a804a52427080f8ffa9bf760d964b14b33b7020fb7df3904b65d76d426cc0096",
     ),
-    "hadoop-paraleon-lanes": (
-        "7615c9f794da6dde9373368ae889f505454b4463aabd2db5fe54d1a144681816",
-        "a804a52427080f8ffa9bf760d964b14b33b7020fb7df3904b65d76d426cc0096",
-    ),
     "alltoall-off": (
         "3398d15342615a936434556686d6c3b8f9e9abd13a062ae6a8164dd751ac1548",
         "af972c0520da8b41ca72962f78687d9c8b13b9a70b17ffc9cbc923d7b35ab4ea",
     ),
     "incast-off": (
-        "fb5701b969975d9590cdd85c4acd0cb07f5ef2fd6d22d9e07c7c3ec83648bc06",
-        "9d8cb706578aec288029c8acfd6c5ce67c6295638ac19a42643a9f441daec39e",
-    ),
-    "incast-lanes": (
         "fb5701b969975d9590cdd85c4acd0cb07f5ef2fd6d22d9e07c7c3ec83648bc06",
         "9d8cb706578aec288029c8acfd6c5ce67c6295638ac19a42643a9f441daec39e",
     ),
@@ -80,7 +72,6 @@ GOLDEN = {
 #: sha256 over the per-interval ``Network.qp_sample()`` of the incast.
 GOLDEN_ALPHA = {
     "off": "500c33e8dce55e2637803f23c0640cf921378d9f6f59dfb3f3ec181a3211d4be",
-    "lanes": "500c33e8dce55e2637803f23c0640cf921378d9f6f59dfb3f3ec181a3211d4be",
 }
 
 
@@ -154,10 +145,8 @@ def _pfc_heavy():
 
 SCENARIOS = {
     "hadoop-paraleon-off": lambda: _hadoop_paraleon("off"),
-    "hadoop-paraleon-lanes": lambda: _hadoop_paraleon("lanes"),
     "alltoall-off": _alltoall,
     "incast-off": lambda: _eval(_incast_spec(), "off"),
-    "incast-lanes": lambda: _eval(_incast_spec(), "lanes"),
     "incast-hybrid": lambda: _eval(_incast_spec(), "hybrid"),
     "incast-swift": _swift,
     "incast-pfc-heavy": _pfc_heavy,

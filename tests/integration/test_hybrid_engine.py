@@ -1,11 +1,9 @@
 """Gating contract of the hybrid flow/packet engine.
 
-Three modes, three promises (DESIGN.md §11):
+Two modes, two promises (DESIGN.md §11):
 
 * ``off``    — digest-identical to a fabric built with no mode at all
                (the seed behaviour);
-* ``lanes``  — *bit-identical* run digests: the vectorized DCQCN timer
-               plane is a pure representation change;
 * ``hybrid`` — approximate, but the utility it reports on the incast
                reference scenario stays within a committed band of the
                full-fidelity measurement, and its sync points emit
@@ -16,6 +14,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.parallel.tasks import (
     EvalTask,
     ScenarioSpec,
@@ -23,6 +23,7 @@ from repro.parallel.tasks import (
     evaluate_task,
     extract_schedule,
 )
+from repro.simulator.hybrid import resolve_hybrid_mode
 from repro.simulator.units import mb, ms
 from repro.telemetry import trace
 from repro.telemetry.schema import validate_file
@@ -66,16 +67,6 @@ def test_off_mode_is_digest_identical_to_the_default_build(monkeypatch):
     assert off_result.utilities == seed_result.utilities
 
 
-def test_lanes_mode_is_bit_identical_to_off():
-    off_result = _run("off")
-    lanes_result = _run("lanes")
-    assert lanes_result.fct_digest == off_result.fct_digest
-    assert lanes_result.interval_digest == off_result.interval_digest
-    assert lanes_result.utilities == off_result.utilities
-    # The point of the lanes plane: fewer engine events, same answer.
-    assert lanes_result.events < off_result.events
-
-
 def test_hybrid_mode_utility_within_committed_band():
     full = _run("off")
     hybrid = _run("hybrid")
@@ -85,14 +76,26 @@ def test_hybrid_mode_utility_within_committed_band():
     assert hybrid.events < full.events / 10
 
 
-def test_hybrid_results_are_never_cached():
+def test_hybrid_results_are_never_cached(monkeypatch):
     spec = _incast_spec()
-    for mode, cacheable in (("off", True), ("lanes", True), ("hybrid", False)):
+    for mode, cacheable in (("off", True), ("hybrid", False)):
         task = EvalTask(
             scenario=spec, seed=spec.seed, params=default_params(),
             engine_mode=mode,
         )
         assert task.cacheable is cacheable
+    # A stale or unknown mode fails loudly and names the valid ones,
+    # from the task and from the environment alike.
+    for stale in ("lanes", "warp-drive"):
+        task = EvalTask(
+            scenario=spec, seed=spec.seed, params=default_params(),
+            engine_mode=stale,
+        )
+        with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
+            task.cacheable
+        monkeypatch.setenv("REPRO_HYBRID_ENGINE", stale)
+        with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
+            resolve_hybrid_mode(None)
 
 
 def test_warm_network_of_wrong_mode_is_rebuilt():
@@ -112,22 +115,6 @@ def test_warm_network_of_wrong_mode_is_rebuilt():
     assert via_warm.interval_digest == fresh.interval_digest
 
 
-def test_lanes_floor_falls_back_below_qp_threshold(monkeypatch):
-    from repro.simulator.hybrid import lanes_floor
-
-    # Default threshold is 256 concurrent QPs (sits above the 240-QP
-    # all-to-all where the bench measured lanes losing to off).
-    monkeypatch.delenv("REPRO_LANES_MIN_QPS", raising=False)
-    assert lanes_floor("lanes", 7) == "off"
-    assert lanes_floor("lanes", 240) == "off"
-    assert lanes_floor("lanes", 256) == "lanes"
-    assert lanes_floor("lanes", None) == "lanes"   # population unknown
-    assert lanes_floor("off", 7) == "off"          # only lanes is floored
-    assert lanes_floor("hybrid", 7) == "hybrid"
-    monkeypatch.setenv("REPRO_LANES_MIN_QPS", "1")
-    assert lanes_floor("lanes", 7) == "lanes"
-
-
 def test_expected_qp_count_by_workload():
     from repro.parallel.tasks import expected_qp_count, extract_schedule
 
@@ -138,43 +125,6 @@ def test_expected_qp_count_by_workload():
     fanout = ScenarioSpec(workload="alltoall", n_workers=4)
     assert expected_qp_count(fanout) == 4 * 3
     assert expected_qp_count(ScenarioSpec(workload="hadoop")) is None
-
-
-def test_env_default_lanes_falls_back_on_small_scenarios(
-    monkeypatch, tmp_path
-):
-    """``--hybrid-engine lanes`` quietly yields to ``off`` below the
-    QP floor — and records the decision as a trace event."""
-    from repro.parallel.tasks import warm_engine_mode, extract_schedule
-
-    monkeypatch.setenv("REPRO_HYBRID_ENGINE", "lanes")
-    spec = _incast_spec(duration=0.01)   # 7 QPs, well below the floor
-    assert warm_engine_mode(spec, extract_schedule(spec)) == "off"
-
-    path = tmp_path / "floor.jsonl"
-    trace.configure(path, run_id="lanes-floor", export_env=False)
-    try:
-        floored = _run(None, spec)       # env default -> floored
-        _run("lanes", spec)              # explicit pin -> untouched
-    finally:
-        trace.disable(clear_env=False)
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    fallbacks = [r for r in records if r["name"] == "engine.lanes_fallback"]
-    assert len(fallbacks) == 1           # pinned run emitted nothing
-    assert fallbacks[0]["attrs"] == {"expected_qps": 7, "threshold": 256}
-
-    # The floor is invisible in results: lanes is bit-identical to off.
-    off = _run("off", spec)
-    assert floored.fct_digest == off.fct_digest
-    assert floored.interval_digest == off.interval_digest
-
-    # Raising the floor out of the way re-enables lanes for the same
-    # scenario (fewer engine events, same digests).
-    monkeypatch.setenv("REPRO_LANES_MIN_QPS", "1")
-    assert warm_engine_mode(spec, None) == "lanes"
-    lanes = _run(None, spec)
-    assert lanes.fct_digest == off.fct_digest
-    assert lanes.events < off.events
 
 
 def test_hybrid_sync_points_emit_schema_valid_trace(tmp_path):

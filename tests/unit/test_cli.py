@@ -91,9 +91,21 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_run_rejects_unknown_scheme():
+def test_run_rejects_unknown_scheme(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--scheme", "warpdrive"])
+    # Stale engine modes and strategies fail the same way, naming the
+    # choices that remain.
+    for flag, stale, valid in (
+        ("--hybrid-engine", "lanes", ("off", "hybrid")),
+        ("--strategy", "thread", ("auto", "process", "inline")),
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, stale])
+        err = capsys.readouterr().err
+        choices = err.split("choose from", 1)[1]
+        assert f"invalid choice: '{stale}'" in err
+        assert all(choice in choices for choice in valid)
 
 
 # ---------------------------------------------------------------------------

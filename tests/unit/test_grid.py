@@ -10,7 +10,6 @@ from repro.tuning.grid import (
     DEFAULT_GRID,
     GridSearchTuner,
     expand_grid,
-    offline_grid_search,
 )
 
 
@@ -77,12 +76,26 @@ def test_best_requires_results():
 
 
 def test_offline_grid_search_finds_planted_optimum():
-    # Utility peaks at p_max == 0.2 by construction.
-    def scenario(params):
-        return 1.0 - abs(params.p_max - 0.2)
+    # Utility peaks at p_max == 0.2 by construction: a stub executor
+    # scores each task instead of running the simulator.
+    from types import SimpleNamespace
 
-    best, results = offline_grid_search(
-        scenario, grid={"p_max": (0.05, 0.2, 0.5)}
+    from repro.parallel import ScenarioSpec
+    from repro.parallel.sweeps import offline_grid_search_parallel
+
+    class PlantedExecutor:
+        def map(self, tasks):
+            return [
+                SimpleNamespace(
+                    mean_utility=lambda skip=0, p=t.params: 1.0 - abs(p.p_max - 0.2),
+                    recording=None,
+                )
+                for t in tasks
+            ]
+
+    spec = ScenarioSpec(workload="hadoop", scale="small", duration=0.004)
+    best, results = offline_grid_search_parallel(
+        spec, grid={"p_max": (0.05, 0.2, 0.5)}, executor=PlantedExecutor()
     )
     assert best.params.p_max == pytest.approx(0.2)
     assert len(results) == 3
@@ -111,3 +124,7 @@ def test_offline_grid_search_parallel_matches_serial():
         r.params.as_dict() for r in results_2
     ]
     assert best_1.params.as_dict() == best_2.params.as_dict()
+    # `best` is the max-utility entry of `results` (the first on ties).
+    planted = max(results_1, key=lambda r: r.utility)
+    assert best_1.params.as_dict() == planted.params.as_dict()
+    assert best_1.utility == planted.utility

@@ -1,14 +1,13 @@
-"""Lazy DCQCN timers must match the eager timers they replace, bit for bit.
+"""Lazy DCQCN alpha decay must match the eager timer it replaces, bit for bit.
 
 :class:`~repro.simulator.dcqcn.DcqcnRp` keeps only the next alpha-decay
-tick time and replays the ticks that are due whenever alpha is read; the
-lane bank does the same for alpha *and* the rate-increase timer.  The
-oracle below is the eager alpha timer they replaced: one engine event
+tick time and replays the ticks that are due whenever alpha is read.
+The oracle below is the eager alpha timer it replaced: one engine event
 per ``dce_tcp_rtt`` that decays alpha unless a CNP arrived since the
-last tick.  The property drives all three through the same random
-sequence of CNPs, sent bytes, elapsed time and ``Host.params`` swaps
-(including swaps and CNPs landing exactly on a tick instant) and
-compares every observable with ``==`` after each step.
+last tick.  The property drives both through the same random sequence
+of CNPs, sent bytes, elapsed time and ``Host.params`` swaps (including
+swaps and CNPs landing exactly on a tick instant) and compares every
+observable with ``==`` after each step.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator.dcqcn import DcqcnLaneBank, DcqcnParams, DcqcnRp
+from repro.simulator.dcqcn import DcqcnParams, DcqcnRp
 from repro.simulator.engine import Simulator
 from repro.simulator.flow import Flow
 from repro.simulator.host import Host, SenderQp
@@ -74,17 +73,13 @@ def _host(kind: str):
     host = Host(sim, 0, f"h-{kind}", DcqcnParams())
     host.attach_link(Link(sim, "up", host, _Sink(), 0, LINE, PROP))
     host.set_ingress_peer(0, None, PROP)
-    if kind == "lanes":
-        host.use_lane_bank(DcqcnLaneBank(sim, capacity=2))
     rps = []
     for k in range(N_QPS):
         params_ref = lambda: host.params  # noqa: E731 - read at use time
         if kind == "eager":
             rp = EagerAlphaRp(sim, LINE, params_ref)
-        elif kind == "lazy":
-            rp = DcqcnRp(sim, LINE, params_ref)
         else:
-            rp = host.lane_bank.new_rp(LINE, params_ref)
+            rp = DcqcnRp(sim, LINE, params_ref)
         rp.start()
         flow = Flow(k, 0, 1, 10**9, 0.0)
         host.egress.qps[k] = SenderQp(flow, rp, 0.0)
@@ -97,7 +92,7 @@ def _observe(rp):
 
 
 #: Parameter sets a swap installs: dce_tcp_g and dce_tcp_rtt move, and
-#: so do the increase knobs the lane bank replays lazily.
+#: so do the increase knobs.
 SWAPS = (
     {},
     {"dce_tcp_g": 1.0 / 16.0, "dce_tcp_rtt": us(20.0)},
@@ -132,7 +127,7 @@ _steps = st.lists(
 @settings(deadline=None, max_examples=60)
 @given(steps=_steps)
 def test_lazy_timers_match_the_eager_oracle(steps):
-    hosts = {kind: _host(kind) for kind in ("eager", "lazy", "lanes")}
+    hosts = {kind: _host(kind) for kind in ("eager", "lazy")}
     eager_sim, _eager_host, oracle = hosts["eager"]
     for (advance, amount), (action, arg), who in steps:
         now = eager_sim.now
@@ -153,8 +148,7 @@ def test_lazy_timers_match_the_eager_oracle(steps):
             elif action == "swap":
                 host.params = DcqcnParams().copy(**SWAPS[arg])
         expected = [_observe(rp) for rp in oracle]
-        for kind in ("lazy", "lanes"):
-            assert [_observe(rp) for rp in hosts[kind][2]] == expected, kind
+        assert [_observe(rp) for rp in hosts["lazy"][2]] == expected
 
 
 def test_cnp_on_a_tick_instant_replays_the_tick_first():
@@ -181,28 +175,15 @@ def test_params_swap_replays_due_ticks_under_the_old_gain():
     assert rps[0].alpha == expected
 
 
-@pytest.mark.parametrize("name", ["dce_tcp_rtt", "rpg_time_reset"])
+@pytest.mark.parametrize("name", ["dce_tcp_rtt"])
 def test_timer_periods_must_exceed_event_lead(name):
-    sim, host, _rps = _host("lanes")
+    sim, host, _rps = _host("lazy")
     with pytest.raises(ValueError, match=name):
         host.params = DcqcnParams().copy(**{name: PROP / 2})
 
 
 def test_scalar_hosts_do_not_bound_the_increase_period():
-    """Only the lane bank replays increase ticks lazily."""
+    """The increase timer is eager, so its period has no lower bound."""
     sim, host, _rps = _host("lazy")
     host.params = DcqcnParams().copy(rpg_time_reset=PROP / 2)
     assert host.params.rpg_time_reset == PROP / 2
-
-
-def test_lane_bank_sweeps_at_most_once_per_interval():
-    sim, host, rps = _host("lanes")
-    sim.run_until(0.02)
-    bank = host.lane_bank
-    assert 0 < bank.ticks <= 0.02 / bank.sweep_interval + 1
-    assert bank.lanes_fired >= bank.ticks
-    osim, _ohost, oracle = _host("eager")
-    osim.run_until(0.02)
-    assert [rp.increase_events for rp in rps] == [
-        rp.increase_events for rp in oracle
-    ]

@@ -242,31 +242,34 @@ def test_strategies_are_digest_identical(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     tasks = _tasks(3)
     inline = SweepExecutor(jobs=1, strategy="inline").map(tasks)
-    for strategy in ("thread", "process"):
-        ex = SweepExecutor(jobs=2, strategy=strategy, private_pool=True)
-        try:
-            got = ex.map(tasks)
-        finally:
-            ex.close()
-        assert [r.fct_digest for r in got] == [
-            r.fct_digest for r in inline
-        ], strategy
-        assert [r.interval_digest for r in got] == [
-            r.interval_digest for r in inline
-        ], strategy
-        assert ex.last_strategy == strategy
+    ex = SweepExecutor(jobs=2, strategy="process", private_pool=True)
+    try:
+        got = ex.map(tasks)
+    finally:
+        ex.close()
+    assert [r.fct_digest for r in got] == [r.fct_digest for r in inline]
+    assert [r.interval_digest for r in got] == [
+        r.interval_digest for r in inline
+    ]
+    assert ex.last_strategy == "process"
 
 
 def test_resolve_strategy_sources(monkeypatch):
     from repro.parallel import resolve_strategy
 
-    assert resolve_strategy("thread") == "thread"
+    assert resolve_strategy("inline") == "inline"
     assert resolve_strategy() == "auto"  # registry default
     monkeypatch.setenv("REPRO_EXECUTOR_STRATEGY", "inline")
     assert resolve_strategy() == "inline"
     assert resolve_strategy("process") == "process"  # explicit wins
-    with pytest.raises(ValueError):
-        resolve_strategy("carrier-pigeon")
+    # A stale or unknown strategy fails loudly and names the valid
+    # ones, from the argument and from the environment alike.
+    for stale in ("carrier-pigeon", "thread"):
+        with pytest.raises(ValueError, match=r"\('auto', 'process', 'inline'\)"):
+            resolve_strategy(stale)
+        monkeypatch.setenv("REPRO_EXECUTOR_STRATEGY", stale)
+        with pytest.raises(ValueError, match=r"\('auto', 'process', 'inline'\)"):
+            resolve_strategy()
 
 
 def test_auto_strategy_picks_by_cost(monkeypatch):
@@ -278,7 +281,7 @@ def test_auto_strategy_picks_by_cost(monkeypatch):
     ex._cost_ema[fp] = 0.0005
     assert ex._resolve_map_strategy(tasks, pending, {})[0] == "inline"
     ex._cost_ema[fp] = 0.005
-    assert ex._resolve_map_strategy(tasks, pending, {})[0] == "thread"
+    assert ex._resolve_map_strategy(tasks, pending, {})[0] == "inline"
     ex._cost_ema[fp] = 0.5
     assert ex._resolve_map_strategy(tasks, pending, {})[0] == "process"
     # A single pending task is never worth dispatch overhead.
@@ -297,7 +300,7 @@ def test_auto_probe_seeds_cost_ema(monkeypatch):
     assert list(results) == [0]
     assert pending == [1, 2]
     assert cost == pytest.approx(ex._cost_ema[TINY.fingerprint()])
-    assert strategy in ("inline", "thread", "process")
+    assert strategy in ("inline", "process")
 
 
 def test_adaptive_chunk_targets_wall_time():
