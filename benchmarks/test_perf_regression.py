@@ -606,7 +606,7 @@ def test_hybrid_engine_speedup():
 
     Runs the same medium-fabric all-to-all (every downlink saturated —
     the case where packet-level cost peaks and the fluid fast path pays
-    off) under both ``REPRO_HYBRID_ENGINE`` modes.  The structural check
+    off) under both hybrid-engine modes.  The structural check
     that ``hybrid`` really collapses the event population always
     asserts.  The >= 3x effective-throughput gate — the scenario's event
     work retired per second of wall-clock, ``off_events / hybrid_wall``

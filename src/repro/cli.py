@@ -130,15 +130,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "(default: REPRO_BATCHED_MONITOR env, on when unset; "
              "results are bit-identical either way)",
     )
+
+
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    """``--hybrid-engine`` for the scheme-running commands."""
     parser.add_argument(
         "--hybrid-engine",
         choices=["off", "hybrid"],
-        default=None,
+        default="off",
         metavar="MODE",
         help="hybrid flow/packet engine: off = pure DES, hybrid = "
              "fluid fast path for elephant flows over packet-level "
-             "mice (faster, approximate) (default: REPRO_HYBRID_ENGINE "
-             "env, off when unset)",
+             "mice (faster, approximate) (default: off)",
     )
 
 
@@ -174,9 +177,11 @@ def cmd_list_schemes(_args) -> int:
 def cmd_run(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
-    result = executor.map(
-        [EvalTask(scenario=spec, seed=args.seed, scheme=args.scheme)]
-    )[0]
+    task = EvalTask(
+        scenario=spec, seed=args.seed, scheme=args.scheme,
+        engine_mode=args.hybrid_engine,
+    )
+    result = executor.map([task])[0]
     fabric = SPECS[args.scale]
     echo(f"scheme          : {make_tuner(args.scheme).name}")
     echo(f"fabric          : {args.scale} ({fabric.n_hosts} hosts)")
@@ -205,7 +210,10 @@ def cmd_compare(args) -> int:
     spec = _make_spec(args)
     executor, _cache = _make_executor(args)
     tasks = [
-        EvalTask(scenario=spec, seed=args.seed, scheme=scheme, index=i)
+        EvalTask(
+            scenario=spec, seed=args.seed, scheme=scheme, index=i,
+            engine_mode=args.hybrid_engine,
+        )
         for i, scheme in enumerate(schemes)
     ]
     results = executor.map(tasks)
@@ -544,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", default="paraleon", choices=sorted(SCHEME_FACTORIES)
     )
     _add_common(run_parser)
+    _add_engine(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     cmp_parser = sub.add_parser("compare", help="run several schemes")
@@ -552,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme list",
     )
     _add_common(cmp_parser)
+    _add_engine(cmp_parser)
     cmp_parser.set_defaults(func=cmd_compare)
 
     sweep_parser = sub.add_parser(
@@ -769,14 +779,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.monitor.agent import BATCHED_MONITOR_ENV
 
         env.export_env(BATCHED_MONITOR_ENV, batched)
-    engine_mode = getattr(args, "hybrid_engine", None)
-    if engine_mode is not None:
-        # Same contract as --batched-monitor: exported before any pool
-        # spawns so workers build their fabrics in the same mode.
-        from repro import env
-        from repro.simulator.hybrid import HYBRID_ENGINE_ENV
-
-        env.export_env(HYBRID_ENGINE_ENV, engine_mode)
     traced_here = bool(getattr(args, "trace", None))
     if traced_here:
         trace.configure(args.trace)

@@ -141,12 +141,6 @@ _declare(
     "are bit-identical either way, the scalar path is just slower.",
 )
 _declare(
-    "REPRO_HYBRID_ENGINE", "str", "off",
-    "Hybrid flow/packet engine mode (`--hybrid-engine`): `off` = pure "
-    "DES (digest-identical to the seed), `hybrid` = fluid fast path "
-    "for elephants over packet-level mice (faster, approximate).",
-)
-_declare(
     "REPRO_CP_SHARDS", "int", 4,
     "Sharded control plane (`repro controlplane`): number of agent "
     "shards; with strategy `pool` each shard's ToR batch is evaluated "

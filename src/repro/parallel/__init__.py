@@ -11,9 +11,9 @@ SA ablations (Fig. 12).  This package fans them out:
   dispatch, timeout/crash retry and eval-cache integration.
 * :func:`~repro.parallel.sa.batched_anneal` — K candidates per SA
   temperature step evaluated concurrently.
-* :mod:`~repro.parallel.sweeps` — the sweep drivers
-  (:func:`offline_grid_search_parallel`, :func:`run_parameter_sweep`,
-  :func:`run_scheme_sweep`).
+* :mod:`~repro.parallel.sweeps` — the shared multi-fidelity
+  ``Evaluator`` and the grid sweep on it
+  (:func:`offline_grid_search_parallel`).
 """
 
 from repro.parallel.executor import (
@@ -27,11 +27,7 @@ from repro.parallel.pool import (
     get_shared_pool,
 )
 from repro.parallel.sa import BatchedAnnealResult, batched_anneal
-from repro.parallel.sweeps import (
-    offline_grid_search_parallel,
-    run_parameter_sweep,
-    run_scheme_sweep,
-)
+from repro.parallel.sweeps import offline_grid_search_parallel
 from repro.parallel.tasks import (
     EvalResult,
     EvalTask,
@@ -62,7 +58,5 @@ __all__ = [
     "offline_grid_search_parallel",
     "resolve_jobs",
     "resolve_strategy",
-    "run_parameter_sweep",
-    "run_scheme_sweep",
     "scheduled_interval_count",
 ]

@@ -28,7 +28,7 @@ alive across calls:
   produced.
 * **Environment propagation** — workers must agree with the parent on
   the ``REPRO_*`` state they inherited at fork (trace run id, recorder
-  path, engine mode, ...).  The pool fingerprints
+  path, monitor path, ...).  The pool fingerprints
   :data:`PROPAGATED_ENV` at spawn and respawns every worker when the
   fingerprint changes.
 
@@ -81,7 +81,6 @@ PROPAGATED_ENV: Tuple[str, ...] = (
     "REPRO_RECORD_BUDGET",
     "REPRO_LOG_LEVEL",
     "REPRO_BATCHED_MONITOR",
-    "REPRO_HYBRID_ENGINE",
 )
 
 #: Env knob sizing each worker's shared-memory result slot.

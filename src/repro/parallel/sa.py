@@ -11,20 +11,15 @@ already visited), and the Metropolis accept/reject is then applied
 **in proposal order**, so the guided-randomness and relaxed-schedule
 semantics of Algorithm 1 are preserved (see DESIGN.md, "Batched SA").
 
-Multi-fidelity search (``fidelity`` argument) layers two accelerations
-on top without touching the full-fidelity semantics:
-
-* **screen** — each batch proposes ``screen_ratio``× more candidates,
-  the fluid surrogate scores them all in one vectorized pass, and only
-  the top ``batch_size`` graduate to DES evaluation
-  (:meth:`~repro.tuning.annealing._AnnealerBase.screen_batch` prunes
-  the pending batch so the Metropolis walk only ever sees survivors).
-* **early abort** — DES runs carry a threshold derived from the
-  incumbent best; a run whose best-achievable mean utility drops below
-  it is abandoned mid-flight and its optimistic bound fed back instead.
-
-With ``fidelity`` left at the default (mode ``full``, abort off) the
-search is byte-identical to the pre-multi-fidelity implementation.
+Multi-fidelity search (``fidelity``) is a loop over the shared
+:class:`~repro.parallel.sweeps.Evaluator` (DESIGN.md, "Multi-fidelity
+evaluation"): ``screen`` proposes ``screen_ratio``× more candidates and
+:meth:`~repro.tuning.annealing._AnnealerBase.screen_batch` keeps only
+the survivors in the Metropolis walk; ``hybrid`` and ``surrogate`` walk
+on hybrid or calibrated fluid utilities and DES-confirm the winner;
+early abort abandons DES runs that cannot reach the incumbent.  With
+``fidelity`` left at the default (mode ``full``, abort off) the search
+is byte-identical to the pre-multi-fidelity implementation.
 """
 
 from __future__ import annotations
@@ -33,11 +28,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.parallel.executor import SweepExecutor
-from repro.parallel.tasks import EvalTask, ScenarioSpec, evaluate_task
+from repro.parallel.sweeps import Evaluator
+from repro.parallel.tasks import ScenarioSpec
 from repro.simulator.dcqcn import DcqcnParams
 from repro.telemetry import trace
 from repro.tuning.annealing import _AnnealerBase
-from repro.tuning.fidelity import FidelityConfig, SurrogateScreen
+from repro.tuning.fidelity import FidelityConfig
 
 
 @dataclass
@@ -85,28 +81,15 @@ def batched_anneal(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    fidelity = fidelity or FidelityConfig()
-    executor = executor or SweepExecutor(strategy=strategy)
-    screen = (
-        SurrogateScreen(scenario, fidelity)
-        if fidelity.mode in ("screen", "surrogate")
-        else None
+    evaluator = Evaluator(
+        scenario, fidelity, executor or SweepExecutor(strategy=strategy)
     )
+    fidelity = evaluator.fidelity
+    # The seed runs in process, outside the executor, so a full-mode
+    # search maps exactly ``evaluations - 1`` tasks.
+    annealer.begin(initial, evaluator.begin(initial))
 
-    seed_result = evaluate_task(
-        EvalTask(scenario=scenario, seed=scenario.seed, params=initial)
-    )
-    if screen is not None:
-        seed_fluid = screen.score([initial])[0]
-        screen.observe(seed_fluid, seed_result.utility)
-    annealer.begin(initial, seed_result.utility)
-
-    evaluations = 1
     batches = 0
-    cache_hits = 0
-    surrogate_scored = 1 if screen is not None else 0
-    screened_out = 0
-    aborted = 0
     with trace.span(
         "sa.search", {"batch_size": batch_size, "fidelity": fidelity.mode}
     ):
@@ -116,83 +99,39 @@ def batched_anneal(
             candidates = annealer.propose_batch(
                 fidelity.proposals_for(batch_size), tp_bias
             )
-            if fidelity.mode == "surrogate":
-                # Fluid-only batch: no DES dispatch at all; the walk
-                # runs on calibrated surrogate scores.
-                scores = screen.score(candidates)
-                surrogate_scored += len(candidates)
-                annealer.feedback_batch(
-                    [screen.calibration.apply(s) for s in scores]
-                )
-                batches += 1
-                continue
-
-            scores: Optional[List[float]] = None
-            if fidelity.mode == "screen":
-                survivor_idx, scores = screen.select(candidates, batch_size)
-                surrogate_scored += len(candidates)
-                screened_out += len(candidates) - len(survivor_idx)
-                survivors = annealer.screen_batch(survivor_idx)
-            else:
-                survivor_idx = list(range(len(candidates)))
-                survivors = candidates
-
-            threshold = fidelity.abort_threshold(annealer.state.best_util)
-            tasks = [
-                EvalTask(
-                    scenario=scenario,
-                    seed=scenario.seed,
-                    params=c,
-                    index=i,
-                    abort_threshold=threshold,
-                    abort_after_frac=fidelity.abort_after_frac,
-                )
-                for i, c in enumerate(survivors)
-            ]
-            results = executor.map(tasks)
-            for idx, result in zip(survivor_idx, results):
-                if result.aborted:
-                    aborted += 1
-                elif screen is not None:
-                    screen.observe(scores[idx], result.utility)
-            annealer.feedback_batch([r.utility for r in results])
-            evaluations += len(results)
-            cache_hits += executor.last_cache_hits
+            kept, scores = evaluator.screen(candidates, batch_size)
+            survivors = annealer.screen_batch(kept)
+            hits = evaluator.cache_hits
+            if scores is not None:
+                scores = [scores[i] for i in kept]
+            points = evaluator.measure(survivors, scores)
+            annealer.feedback_batch([p.utility for p in points])
             batches += 1
             if trace.active:
                 trace.event(
                     "sa.batch",
                     {
                         "batch": batches,
-                        "size": len(results),
+                        "size": len(points),
                         "proposed": len(candidates),
-                        "aborted": sum(1 for r in results if r.aborted),
-                        "cache_hits": executor.last_cache_hits,
+                        "aborted": sum(p.fidelity == "aborted" for p in points),
+                        "cache_hits": evaluator.cache_hits - hits,
                         "temperature": annealer.state.temperature,
                         "best_utility": annealer.state.best_util,
                     },
                 )
 
     state = annealer.state
-    best_params = state.best_solution
-    best_utility = state.best_util
-    if fidelity.mode == "surrogate":
-        # The walk ran on surrogate scores; confirm the winner with one
-        # full-fidelity run so the reported utility is a measurement.
-        confirm = evaluate_task(
-            EvalTask(scenario=scenario, seed=scenario.seed, params=best_params)
-        )
-        evaluations += 1
-        best_utility = confirm.utility
+    best_utility = evaluator.confirm(state.best_solution, state.best_util)
     return BatchedAnnealResult(
-        best_params=best_params,
+        best_params=state.best_solution,
         best_utility=best_utility,
-        evaluations=evaluations,
+        evaluations=evaluator.des_runs,
         batches=batches,
-        cache_hits=cache_hits,
+        cache_hits=evaluator.cache_hits,
         utility_trace=list(annealer.utility_trace),
         fidelity_mode=fidelity.mode,
-        surrogate_scored=surrogate_scored,
-        screened_out=screened_out,
-        aborted=aborted,
+        surrogate_scored=evaluator.surrogate_scored,
+        screened_out=evaluator.screened_out,
+        aborted=evaluator.aborted,
     )

@@ -115,12 +115,11 @@ class EvalTask:
     #: Fraction of the scheduled intervals that must elapse before the
     #: abort rule may fire (warm-up guard against noisy early intervals).
     abort_after_frac: float = 0.5
-    #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``);
-    #: ``None`` resolves ``REPRO_HYBRID_ENGINE`` at network
-    #: construction.  Lives on the task, not the scenario spec, so
-    #: scenario fingerprints — and therefore cache keys and warm-start
-    #: identities — are unchanged for the default mode (``hybrid``
-    #: results are never cached).
+    #: Hybrid-engine mode for this evaluation (``off`` / ``hybrid``;
+    #: ``None`` is ``off``).  Lives on the task, not the scenario spec,
+    #: so scenario fingerprints — and therefore cache keys and
+    #: warm-start identities — are unchanged for the default mode
+    #: (``hybrid`` results are never cached).
     engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -138,11 +137,7 @@ class EvalTask:
         later full-fidelity lookups (same poisoning rule as aborted
         runs).
         """
-        if self.params is None:
-            return False
-        from repro.simulator.hybrid import resolve_hybrid_mode
-
-        return resolve_hybrid_mode(self.engine_mode) != "hybrid"
+        return self.params is not None and self.engine_mode != "hybrid"
 
 
 @dataclass
@@ -312,7 +307,7 @@ def build_scenario(
     ``schedule`` (from :func:`extract_schedule`) replays a precomputed
     arrival list instead of re-sampling the workload; flow ids and
     event ordering are identical either way.  ``engine_mode`` selects
-    the hybrid flow/packet engine (``None`` resolves the env default).
+    the hybrid flow/packet engine (``None`` is the pure DES).
     """
     # Imported here: experiments.scenarios pulls in the full scheme
     # registry, which itself imports tuning modules.

@@ -80,9 +80,9 @@ class WarmCache:
         network = None
         if schedule is not None:
             # Empty schedule -> bare fabric; flows are replayed per
-            # task.  Built in the environment's engine mode, which
-            # unpinned tasks resolve too, so the warm network survives
-            # evaluate_task's mode-mismatch guard.
+            # task.  Built in the default engine mode (``off``); a
+            # hybrid task gets a fresh fabric from evaluate_task's
+            # mode-mismatch guard.
             network, _, _ = build_scenario(spec, spec.seed, [])
         self._entries[fp] = (schedule, network)
         if len(self._entries) > self.capacity:

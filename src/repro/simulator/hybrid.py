@@ -8,7 +8,8 @@ integrates (:func:`repro.simulator.fluid.fluid_rate_step`), while
 mice, queue occupancy, ECN marking of packet traffic, and PFC stay at
 packet level.
 
-Engine modes (``REPRO_HYBRID_ENGINE`` / ``--hybrid-engine``):
+Engine modes (``EvalTask.engine_mode``; ``--hybrid-engine`` on
+``run``/``compare``):
 
 * ``off`` — pure DES.  Digest-identical to the seed behaviour; the
   default, and what Tier-1 and the eval cache run against.
@@ -39,7 +40,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro import env
 from repro.simulator.engine import EventHandle
 from repro.simulator.fluid import (
     DEFAULT_DT,
@@ -54,17 +54,14 @@ from repro.telemetry import trace
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.network import Network
 
-#: Environment knob / CLI flag selecting the engine mode.
-HYBRID_ENGINE_ENV = "REPRO_HYBRID_ENGINE"
-
 #: Recognized engine modes, least to most approximate.
 HYBRID_MODES = ("off", "hybrid")
 
 
 def resolve_hybrid_mode(mode: Optional[str] = None) -> str:
-    """Effective engine mode: explicit argument beats the environment."""
+    """Validated engine mode; ``None`` is the pure DES (``off``)."""
     if mode is None:
-        mode = env.get(HYBRID_ENGINE_ENV)
+        return "off"
     if mode not in HYBRID_MODES:
         raise ValueError(
             f"hybrid engine mode must be one of {HYBRID_MODES}, got {mode!r}"
@@ -569,7 +566,9 @@ class FluidFlowLanes:
                 edge = self._edges[edge_idx]
                 depth = edge.egress.data_queue_bytes + edge.vq
                 rtt += depth * 8.0 / edge.capacity
-            self.network.stats.record_rtt(src, peer, rtt, hops)
+            # A plain float: an np.float64 would reach interval_digest
+            # through its numpy-version-dependent repr.
+            self.network.stats.record_rtt(src, peer, float(rtt), hops)
 
     def _probe_path(self, src: int, dst: int):
         """Forward path of a probe (flow id -1, like the DES prober).

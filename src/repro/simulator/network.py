@@ -49,9 +49,9 @@ class NetworkConfig:
     # Paraleon) or "swift" (delay-based, Section VI related work).
     cc: str = "dcqcn"
     swift_params: object = None
-    # Hybrid engine mode ("off" | "hybrid"); None resolves
-    # REPRO_HYBRID_ENGINE at construction time.  Only meaningful for
-    # cc="dcqcn" — other controllers silently run the pure DES.
+    # Hybrid engine mode ("off" | "hybrid"); None is "off".  Only
+    # meaningful for cc="dcqcn" — other controllers silently run the
+    # pure DES.
     hybrid_engine: Optional[str] = None
 
 

@@ -23,7 +23,6 @@ from repro.parallel.tasks import (
     evaluate_task,
     extract_schedule,
 )
-from repro.simulator.hybrid import resolve_hybrid_mode
 from repro.simulator.units import mb, ms
 from repro.telemetry import trace
 from repro.telemetry.schema import validate_file
@@ -58,9 +57,8 @@ def _run(mode, spec=None):
     return evaluate_task(task)
 
 
-def test_off_mode_is_digest_identical_to_the_default_build(monkeypatch):
-    monkeypatch.delenv("REPRO_HYBRID_ENGINE", raising=False)
-    seed_result = _run(None)      # env unset -> the seed's pure DES
+def test_off_mode_is_digest_identical_to_the_default_build():
+    seed_result = _run(None)      # no mode -> the seed's pure DES
     off_result = _run("off")
     assert off_result.fct_digest == seed_result.fct_digest
     assert off_result.interval_digest == seed_result.interval_digest
@@ -76,7 +74,7 @@ def test_hybrid_mode_utility_within_committed_band():
     assert hybrid.events < full.events / 10
 
 
-def test_hybrid_results_are_never_cached(monkeypatch):
+def test_hybrid_results_are_never_cached():
     spec = _incast_spec()
     for mode, cacheable in (("off", True), ("hybrid", False)):
         task = EvalTask(
@@ -84,18 +82,15 @@ def test_hybrid_results_are_never_cached(monkeypatch):
             engine_mode=mode,
         )
         assert task.cacheable is cacheable
-    # A stale or unknown mode fails loudly and names the valid ones,
-    # from the task and from the environment alike.
+    # A stale or unknown mode fails loudly, before any simulation, and
+    # names the valid ones.
     for stale in ("lanes", "warp-drive"):
         task = EvalTask(
             scenario=spec, seed=spec.seed, params=default_params(),
             engine_mode=stale,
         )
         with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
-            task.cacheable
-        monkeypatch.setenv("REPRO_HYBRID_ENGINE", stale)
-        with pytest.raises(ValueError, match=r"\('off', 'hybrid'\)"):
-            resolve_hybrid_mode(None)
+            evaluate_task(task)
 
 
 def test_warm_network_of_wrong_mode_is_rebuilt():

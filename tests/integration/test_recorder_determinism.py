@@ -1,7 +1,7 @@
 """The flight recorder must observe, never perturb.
 
 Digest identity (recorder on vs off) is asserted under both
-``REPRO_HYBRID_ENGINE`` modes — sampling happens at monitor-interval
+hybrid-engine modes — sampling happens at monitor-interval
 boundaries, reads network state, and never draws randomness or
 schedules events, so the engine cannot tell whether it is being
 recorded.  The second half exercises the fork-merge recording

@@ -95,14 +95,18 @@ def test_run_rejects_unknown_scheme(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--scheme", "warpdrive"])
     # Stale engine modes and strategies fail the same way, naming the
-    # choices that remain.
-    for flag, stale, valid in (
-        ("--hybrid-engine", "lanes", ("off", "hybrid")),
-        ("--strategy", "thread", ("auto", "process", "inline")),
+    # choices that remain; a flag a command no longer has is unknown.
+    for command, flag, stale, valid in (
+        ("run", "--hybrid-engine", "lanes", ("off", "hybrid")),
+        ("run", "--strategy", "thread", ("auto", "process", "inline")),
+        ("sweep", "--hybrid-engine", "hybrid", None),
     ):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", flag, stale])
+            build_parser().parse_args([command, flag, stale])
         err = capsys.readouterr().err
+        if valid is None:
+            assert f"unrecognized arguments: {flag} {stale}" in err
+            continue
         choices = err.split("choose from", 1)[1]
         assert f"invalid choice: '{stale}'" in err
         assert all(choice in choices for choice in valid)

@@ -84,11 +84,14 @@ def test_offline_grid_search_finds_planted_optimum():
     from repro.parallel.sweeps import offline_grid_search_parallel
 
     class PlantedExecutor:
+        last_cache_hits = 0
+
         def map(self, tasks):
             return [
                 SimpleNamespace(
                     mean_utility=lambda skip=0, p=t.params: 1.0 - abs(p.p_max - 0.2),
                     recording=None,
+                    aborted=False,
                 )
                 for t in tasks
             ]
